@@ -16,6 +16,18 @@ identical, so it lives here once:
   matmul instead of one rank-1 update per flip, and energies are
   recomputed from the maintained inputs once per sweep.
 
+At ``R = 1`` the p-bit rule (:func:`threshold_decide`) at float64 runs the
+in-block event loop in C (:mod:`repro.ising._r1scan`): one ctypes call
+scans blocks until one flips, and Python applies that block's BLAS update
+before resuming.  Everything that fixes the arithmetic — the threshold
+tables, the ``cols @ deltas`` update, the float64 einsum energies — stays
+in numpy, and the C loop performs the numpy scan's IEEE operations in its
+order, so the two are bit-identical.  The numpy scan
+(:func:`_numpy_sweep_r1`) runs for every other rule and dtype, and as the
+fallback when the library cannot be built or loaded
+(:func:`r1_scan_info` gives the reason); the tests use it as the
+reference.
+
 The scan runs in a configurable storage/compute ``dtype``: ``float32``
 halves the memory traffic of the block matmuls (sgemm vs dgemm), which is
 where the big-R batched path spends its time.  Per-sweep *energies* are
@@ -47,6 +59,32 @@ import numpy as np
 # matmul, small enough that in-block corrections stay cache-resident.
 BLOCK = 32
 
+# repro.ising._r1scan is imported where it is used, not here: its own
+# imports (ctypes, subprocess, hashlib, ...) would add ~13 ms to `import
+# repro` and to every service worker spawn.
+
+
+def r1_scan_info() -> str:
+    """Which ``R = 1`` p-bit scan runs in this process.
+
+    ``"compiled"``, ``"numpy: <reason>"`` after a fallback, or ``"not
+    loaded"`` before the first ``R = 1`` float64 p-bit anneal.
+    """
+    from repro.ising import _r1scan
+
+    return _r1scan.r1_scan_info()
+
+
+def threshold_decide(taus_rows, input_rows, spin_rows):
+    """The p-bit rule as a ``decide`` callback: spin deltas towards
+    ``+1 if I >= tau else -1`` (the thresholded form of eq. 10).
+
+    Passing this exact function is what lets an ``R = 1`` float64 scan
+    run the compiled event loop, which implements this rule only.
+    """
+    one = input_rows.dtype.type(1.0)
+    return np.where(input_rows >= taus_rows, one, -one) - spin_rows
+
 
 class AnnealProgram:
     """Once-per-solve preparation of a coupling matrix for the scan kernel.
@@ -63,7 +101,10 @@ class AnnealProgram:
     ``restart="warm"`` mode), :meth:`initial_inputs` serves the new input
     fields as ``cached + h`` — an O(N R) add — instead of recomputing the
     O(N^2 R) matmul.  ``warm_hits`` / ``cold_starts`` count the two paths
-    (exposed for tests and the outer-loop benchmark).
+    (exposed for tests and the outer-loop benchmark), and ``flip_events``
+    counts the scan's flip events over the program's lifetime: spin flips
+    at ``R = 1``, scan steps where at least one replica flipped at
+    ``R > 1``.
     """
 
     def __init__(self, coupling, dtype=None):
@@ -88,6 +129,7 @@ class AnnealProgram:
         ]
         self.warm_hits = 0
         self.cold_starts = 0
+        self.flip_events = 0
         self._resident_spins = None
         self._resident_coupling_inputs = None
 
@@ -241,6 +283,7 @@ def lockstep_anneal(
                 if jf + 1 < size:
                     local[jf + 1:] += sub[jf, jf + 1:, None] * delta
                 flipped_any = True
+                program.flip_events += 1
                 j = jf + 1
             if flipped_any:
                 inputs += cols @ deltas
@@ -270,17 +313,27 @@ def _lockstep_anneal_r1(
     """The ``R = 1`` fast path of :func:`lockstep_anneal`.
 
     Identical chain to the general kernel (same threshold tables consumed
-    in the same order, same speculative-block decisions), but every array
-    in the event loop is 1-D: ``decide`` is called on ``(m,)`` tails and
-    the first flip is located with a single ``nonzero`` instead of
-    ``any(axis=1)`` + ``any`` + ``argmax`` over ``(m, 1)`` columns.
+    in the same order, same speculative-block decisions), on 1-D arrays.
+    With the p-bit rule (:func:`threshold_decide`) at float64, each sweep
+    runs the compiled in-block event loop of :mod:`repro.ising._r1scan`
+    when that library builds and loads; otherwise, and for any other rule
+    or dtype, it runs :func:`_numpy_sweep_r1`.  Both apply the same
+    operations to the same values, so they return bit-identical results.
     Returns the same ``(n, 1)``-shaped tuple as the general kernel.
     """
     dtype = program.dtype
-    n = program.num_spins
     fields = np.asarray(fields, dtype=dtype)
     spins = np.ascontiguousarray(states[0], dtype=dtype)  # (n,)
     inputs = program.initial_inputs(spins[:, None], fields)[:, 0]
+
+    compiled = None
+    if decide is threshold_decide and dtype == np.float64:
+        from repro.ising import _r1scan
+
+        scan = _r1scan.compiled_scan()
+        if scan is not None:
+            compiled = _r1scan.CompiledSweep(scan, program, inputs, spins,
+                                             BLOCK)
 
     def energy():
         return float(
@@ -296,32 +349,12 @@ def _lockstep_anneal_r1(
 
     for sweep, beta in enumerate(betas):
         thresholds = np.asarray(thresholds_for(beta), dtype=dtype).ravel()
-
-        for i0, cols, sub in zip(
-            program.starts, program.col_blocks, program.sub_blocks
-        ):
-            size = cols.shape[1]
-            local = inputs[i0:i0 + size].copy()
-            thr_blk = thresholds[i0:i0 + size]
-            spins_blk = spins[i0:i0 + size]  # view; writes hit `spins`
-            deltas = None
-            j = 0
-            while j < size:
-                spec_delta = decide(thr_blk[j:], local[j:], spins_blk[j:])
-                flips = np.nonzero(spec_delta)[0]
-                if flips.size == 0:
-                    break
-                jf = j + int(flips[0])
-                delta = spec_delta[jf - j]
-                if deltas is None:
-                    deltas = np.zeros(size, dtype=dtype)
-                deltas[jf] = delta
-                spins_blk[jf] += delta
-                if jf + 1 < size:
-                    local[jf + 1:] += sub[jf, jf + 1:] * delta
-                j = jf + 1
-            if deltas is not None:
-                inputs += cols @ deltas
+        if compiled is not None:
+            compiled.sweep(thresholds)
+        else:
+            program.flip_events += _numpy_sweep_r1(
+                program, inputs, thresholds, spins, decide
+            )
 
         current = energy()
         if current < best_energy:
@@ -330,6 +363,8 @@ def _lockstep_anneal_r1(
         if record_energy:
             traces[0, sweep] = current
 
+    if compiled is not None:
+        program.flip_events += compiled.flips
     program.retain(spins[:, None], inputs[:, None], fields)
     return (
         spins[:, None],
@@ -338,3 +373,41 @@ def _lockstep_anneal_r1(
         np.array([best_energy]),
         traces,
     )
+
+
+def _numpy_sweep_r1(program, inputs, thresholds, spins, decide) -> int:
+    """One ``R = 1`` sweep in numpy; updates ``inputs``/``spins`` in place.
+
+    ``decide`` is called on ``(m,)`` tails and the first flip is located
+    with a single ``nonzero``.  Returns the number of spin flips.  This is
+    the fallback of the compiled scan and its reference in the tests.
+    """
+    dtype = program.dtype
+    flips = 0
+    for i0, cols, sub in zip(
+        program.starts, program.col_blocks, program.sub_blocks
+    ):
+        size = cols.shape[1]
+        local = inputs[i0:i0 + size].copy()
+        thr_blk = thresholds[i0:i0 + size]
+        spins_blk = spins[i0:i0 + size]  # view; writes hit `spins`
+        deltas = None
+        j = 0
+        while j < size:
+            spec_delta = decide(thr_blk[j:], local[j:], spins_blk[j:])
+            hits = np.nonzero(spec_delta)[0]
+            if hits.size == 0:
+                break
+            jf = j + int(hits[0])
+            delta = spec_delta[jf - j]
+            if deltas is None:
+                deltas = np.zeros(size, dtype=dtype)
+            deltas[jf] = delta
+            spins_blk[jf] += delta
+            if jf + 1 < size:
+                local[jf + 1:] += sub[jf, jf + 1:] * delta
+            flips += 1
+            j = jf + 1
+        if deltas is not None:
+            inputs += cols @ deltas
+    return flips

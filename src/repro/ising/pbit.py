@@ -26,8 +26,14 @@ hit the global input fields as a single BLAS matmul.  At R = 1 the
 threshold test ``I_i >= -atanh(u_i) / beta`` consumes the *same noise
 stream in the same order* as the historical per-spin python scan and is
 the exact algebraic rearrangement of eq. 10, so the trajectory is the
-same Gibbs chain — just computed by vectorized blocks instead of a python
-loop per spin.  ``kernel="serial"`` is the escape hatch back to that
+same Gibbs chain — just computed by blocks instead of a python loop per
+spin.  At R = 1 and float64 the in-block event loop runs compiled
+(:mod:`repro.ising._r1scan`, C built on first use with the host's ``cc``
+and called through ctypes); numpy still draws the noise, applies the
+block-end BLAS updates and computes the energies, so results are
+bit-identical to the numpy scan, which runs instead when the library
+cannot be built or loaded (``repro.ising._lockstep.r1_scan_info()``
+says which).  ``kernel="serial"`` is the escape hatch back to the
 retired pure-python reference scan (useful for parity tests and as the
 ground-truth spelling of eq. 10).
 
@@ -49,7 +55,11 @@ import math
 
 import numpy as np
 
-from repro.ising._lockstep import AnnealProgram, lockstep_anneal
+from repro.ising._lockstep import (
+    AnnealProgram,
+    lockstep_anneal,
+    threshold_decide,
+)
 from repro.ising.backend import (
     AnnealResult,
     BatchAnnealResult,
@@ -312,7 +322,6 @@ class PBitMachine:
         """
         rng = self._rng
         num_replicas, n = states.shape
-        one = self._dtype.type(1.0)
 
         def thresholds_for(beta):
             noise = rng.uniform(-1.0, 1.0, size=(n, num_replicas))
@@ -322,12 +331,9 @@ class PBitMachine:
                     return np.arctanh(noise) / (-beta)
             return np.where(noise >= 0.0, -np.inf, np.inf)
 
-        def decide(taus_rows, input_rows, spin_rows):
-            return np.where(input_rows >= taus_rows, one, -one) - spin_rows
-
         spins, energies, best_spins, best_energies, traces = lockstep_anneal(
             self._coupling, self._fields, self._offset, betas, states,
-            thresholds_for, decide, record_energy=record_energy,
+            thresholds_for, threshold_decide, record_energy=record_energy,
             dtype=self._dtype, program=self.program,
         )
         return BatchAnnealResult(

@@ -46,6 +46,7 @@ import traceback
 import uuid
 from collections import OrderedDict
 
+from repro.ising._lockstep import r1_scan_info
 from repro.service.codec import CodecError, job_from_wire, report_from_wire
 from repro.service.queue import PriorityJobQueue, QueueClosedError, resolve_priority
 
@@ -269,9 +270,12 @@ class WorkerRuntime:
         }
 
     def stats(self) -> dict:
-        """Snapshot of this worker's resident-cache counters."""
+        """Snapshot of this worker's resident-cache counters, plus which
+        ``R = 1`` p-bit scan its process runs (``r1_scan``: ``"compiled"``
+        or ``"numpy: <reason>"``), so a worker that fell back shows."""
         sessions = list(self._sessions.values())
         return {
+            "r1_scan": r1_scan_info(),
             "jobs_done": self._jobs_done,
             "planned": self._planned,
             "errors": self._errors,

@@ -13,18 +13,74 @@ Three guarantees of the solve-resident annealing design:
 - **warm restarts are solve-resident** — a run starting from the previous
   run's final spins reuses the cached ``J @ s`` instead of recomputing the
   start-of-run matmul, and produces the same annealing results as a cold
-  start from those spins.
+  start from those spins;
+- **the compiled R = 1 scan is the numpy scan** — its in-block event loop
+  in C returns bit-identical results and counters, and every way it can
+  fail to build or load falls back to the numpy scan with a readable
+  reason.
 """
+
+import os
+import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.schedule import linear_beta_schedule
-from repro.ising._lockstep import BLOCK, AnnealProgram
+from repro.ising import _r1scan
+from repro.ising._lockstep import BLOCK, AnnealProgram, r1_scan_info
 from repro.ising.pbit import PBitMachine
 from repro.ising.quantization import QuantizedPBitMachine
 from repro.ising.sa import MetropolisMachine
 from tests.helpers import random_ising
+
+
+HAS_CC = shutil.which("cc") is not None
+needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def r1_scan(request, monkeypatch):
+    """Run the test once per R=1 p-bit scan; "compiled" is the default
+    path (the numpy fallback when no compiler is on PATH)."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_r1scan, "compiled_scan", lambda: None)
+    return request.param
+
+
+def _r1_runs(n, seed):
+    """Two seeded R=1 p-bit anneals, the second a warm restart.
+
+    The schedule opens with a beta=0 sweep, whose thresholds are +-inf.
+    """
+    schedule = np.concatenate([[0.0], linear_beta_schedule(4.0, 40)])
+    machine = PBitMachine(random_ising(n, rng=seed), rng=seed)
+    first = machine.anneal(schedule, record_energy=True)
+    second = machine.anneal(
+        schedule, initial=first.last_sample, record_energy=True
+    )
+    return (first, second), machine.program
+
+
+def _assert_same_r1_runs(got, expected):
+    (runs, program), (ref_runs, ref_program) = got, expected
+    for run, ref in zip(runs, ref_runs):
+        for name in ("last_sample", "best_sample", "energy_trace"):
+            np.testing.assert_array_equal(
+                getattr(run, name), getattr(ref, name)
+            )
+        assert run.best_energy == ref.best_energy
+        assert run.last_energy == ref.last_energy
+    counters = ("warm_hits", "cold_starts", "flip_events")
+    assert [getattr(program, c) for c in counters] == [
+        getattr(ref_program, c) for c in counters
+    ]
+    assert (program.cold_starts, program.warm_hits) == (1, 1)
+    assert program.flip_events > 0
 
 
 def _counting_program(monkeypatch):
@@ -140,10 +196,11 @@ class TestProgramBuiltOncePerSolve:
 
 
 class TestSerialKernelParity:
-    """R=1 via lock-step == the retired pure-python scan (same samples)."""
+    """R=1 via lock-step == the retired pure-python scan (same samples),
+    through both the compiled and the numpy R=1 scan."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pbit_trajectory_parity(self, seed):
+    def test_pbit_trajectory_parity(self, seed, r1_scan):
         model = random_ising(50, rng=seed)
         schedule = linear_beta_schedule(4.0, 100)
         fast = PBitMachine(model, rng=seed).anneal(
@@ -157,6 +214,16 @@ class TestSerialKernelParity:
         np.testing.assert_allclose(
             fast.energy_trace, reference.energy_trace, rtol=1e-12, atol=1e-9
         )
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70, 215])
+    def test_compiled_scan_matches_numpy_scan(self, n, monkeypatch):
+        """Bit for bit on random float couplings, across a warm restart."""
+        compiled = _r1_runs(n, seed=n)
+        assert r1_scan_info() == (
+            "compiled" if HAS_CC else "numpy: no C compiler (cc) on PATH"
+        )
+        monkeypatch.setattr(_r1scan, "compiled_scan", lambda: None)
+        _assert_same_r1_runs(compiled, _r1_runs(n, seed=n))
 
     def test_pbit_rejects_unknown_kernel(self):
         with pytest.raises(ValueError):
@@ -422,3 +489,148 @@ class TestEngineWarmRestart:
                 instance, method="penalty", restart="warm",
                 num_iterations=5, mcs_per_run=20,
             )
+
+
+@pytest.fixture(scope="module")
+def reference_r1_runs():
+    """R=1 runs through the process's regular loader state."""
+    return _r1_runs(40, seed=3)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """An unloaded scan library whose cache lives in ``tmp_path``."""
+    monkeypatch.setattr(_r1scan, "_loaded", None)
+    monkeypatch.setattr(_r1scan, "cache_dir", lambda: tmp_path)
+    return tmp_path
+
+
+class TestCompiledScanFallback:
+    """Every way the library can fail leads to the numpy scan, with the
+    reason readable from r1_scan_info() and identical results."""
+
+    @staticmethod
+    def _fake_cc(monkeypatch):
+        monkeypatch.setattr(_r1scan.shutil, "which", lambda name: "cc")
+
+    def _assert_fallback(self, reference, prefix):
+        runs = _r1_runs(40, seed=3)
+        assert r1_scan_info().startswith(prefix)
+        _assert_same_r1_runs(runs, reference)
+
+    def test_no_compiler(self, fresh_loader, monkeypatch, reference_r1_runs):
+        monkeypatch.setattr(_r1scan.shutil, "which", lambda name: None)
+        self._assert_fallback(reference_r1_runs, "numpy: no C compiler")
+
+    def test_failed_compile(self, fresh_loader, monkeypatch,
+                            reference_r1_runs):
+        self._fake_cc(monkeypatch)
+
+        def broken_compile(cc, target):
+            raise subprocess.CalledProcessError(
+                1, cc, stderr="<stdin>: error: something broke\n"
+            )
+
+        monkeypatch.setattr(_r1scan, "_compile", broken_compile)
+        self._assert_fallback(
+            reference_r1_runs, "numpy: compile failed: <stdin>: error"
+        )
+
+    def test_library_will_not_load(self, fresh_loader, monkeypatch,
+                                   reference_r1_runs):
+        self._fake_cc(monkeypatch)
+        builds = []
+        monkeypatch.setattr(_r1scan, "_compile",
+                            lambda cc, target: builds.append(target))
+
+        def broken_open(path):
+            raise OSError(f"{path}: invalid ELF header")
+
+        monkeypatch.setattr(_r1scan, "_open", broken_open)
+        self._assert_fallback(reference_r1_runs, "numpy: OSError")
+        assert len(builds) == 1  # a fresh build is not retried
+
+    def test_garbage_cache_rebuilt_once_then_falls_back(
+        self, fresh_loader, monkeypatch, reference_r1_runs
+    ):
+        self._fake_cc(monkeypatch)
+        (fresh_loader / _r1scan.library_name()).write_bytes(b"junk")
+        builds = []
+
+        def junk_compile(cc, target):
+            builds.append(target)
+            target.write_bytes(b"still junk")
+
+        monkeypatch.setattr(_r1scan, "_compile", junk_compile)
+        self._assert_fallback(reference_r1_runs, "numpy: OSError")
+        assert len(builds) == 1
+
+    @needs_cc
+    def test_garbage_cache_is_rebuilt(self, fresh_loader):
+        path = fresh_loader / _r1scan.library_name()
+        path.write_bytes(b"junk")
+        assert _r1scan.compiled_scan() is not None
+        assert r1_scan_info() == "compiled"
+        assert path.read_bytes()[:4] == b"\x7fELF"
+
+    def test_importing_repro_loads_no_library(self):
+        code = (
+            "import sys\n"
+            "import repro, repro.service.pool\n"
+            "assert 'repro.ising._r1scan' not in sys.modules\n"
+            "from repro.ising._lockstep import r1_scan_info\n"
+            "assert r1_scan_info() == 'not loaded'\n"
+        )
+        src = str(Path(_r1scan.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=120, env=env)
+
+
+class TestCompiledScanBuild:
+    def test_cache_key_covers_source_and_flags(self, monkeypatch):
+        name = _r1scan.library_name()
+        assert name.startswith("r1scan-") and name.endswith(".so")
+        monkeypatch.setattr(_r1scan, "FLAGS", _r1scan.FLAGS + ("-g",))
+        flagged = _r1scan.library_name()
+        monkeypatch.setattr(_r1scan, "SOURCE", _r1scan.SOURCE + "\n")
+        assert len({name, flagged, _r1scan.library_name()}) == 3
+
+    @needs_cc
+    def test_concurrent_builds_leave_one_loadable_library(self, tmp_path):
+        target = tmp_path / _r1scan.library_name()
+        errors = []
+
+        def build():
+            try:
+                _r1scan._compile(shutil.which("cc"), target)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+        assert _r1scan._open(target) is not None
+
+    def test_pointers_are_validated(self):
+        program = AnnealProgram(random_ising(40, rng=0).coupling)
+        spins = np.ones(40)
+        inputs = np.zeros(40)
+        read_only = np.zeros(40)
+        read_only.flags.writeable = False
+        for bad_inputs in (
+            np.zeros(40, dtype=np.float32),  # dtype
+            np.zeros(80)[::2],  # contiguity
+            np.zeros(39),  # length
+            read_only,  # C writes the inputs
+        ):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                _r1scan.CompiledSweep(None, program, bad_inputs, spins, BLOCK)
+        sweep = _r1scan.CompiledSweep(None, program, inputs, spins, BLOCK)
+        with pytest.raises(ValueError, match="40 elements"):
+            sweep.sweep(np.zeros(41))

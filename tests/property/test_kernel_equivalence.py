@@ -15,7 +15,10 @@ make them interchangeable, over randomized Ising models:
 (c) **layout equivalence** — the chromatic machine's CSR and dense row-block
     layouts run the identical update on the identical noise stream, so on
     integer-weight models (every partial sum exact in either dtype, any
-    summation order) they are bit-identical.
+    summation order) they are bit-identical;
+(d) **R = 1 scan equivalence** — the compiled in-block event loop of the
+    p-bit scan and the numpy scan it replaces apply the same operations to
+    the same values, so on float-weight models they are bit-identical.
 """
 
 import inspect
@@ -26,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.schedule import constant_beta_schedule, linear_beta_schedule
+from repro.ising import _r1scan
 from repro.ising.backend import dispatch_anneal_many
 from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
@@ -225,3 +229,30 @@ class TestChromaticLayoutEquivalence:
         np.testing.assert_array_equal(
             from_sparse.last_energies, from_dense.last_energies
         )
+
+
+class TestR1ScanEquivalence:
+    """(d) compiled R=1 p-bit scan == numpy R=1 scan, bit for bit."""
+
+    @given(seed=seeds, n=st.integers(1, 80), sweeps=st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_on_float_weights(self, seed, n, sweeps):
+        model = random_ising(n, rng=seed)
+        # A beta=0 first sweep: every threshold is +-inf.
+        schedule = np.concatenate([[0.0], linear_beta_schedule(5.0, sweeps)])
+        compiled = PBitMachine(model, rng=seed).anneal(
+            schedule, record_energy=True
+        )
+        loaded = _r1scan.compiled_scan
+        try:
+            _r1scan.compiled_scan = lambda: None
+            reference = PBitMachine(model, rng=seed).anneal(
+                schedule, record_energy=True
+            )
+        finally:
+            _r1scan.compiled_scan = loaded
+        for name in ("last_sample", "best_sample", "energy_trace"):
+            np.testing.assert_array_equal(
+                getattr(compiled, name), getattr(reference, name)
+            )
+        assert compiled.best_energy == reference.best_energy

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.ising._lockstep import AnnealProgram
+from repro.ising._lockstep import AnnealProgram, r1_scan_info
 from repro.ising.pbit import PBitMachine
 from repro.problems.generators import generate_qkp
 from repro.runtime import SolveJob
@@ -183,6 +183,9 @@ class TestServicePool:
         # Residency survives in the long-lived child process.
         assert second.response["stats"]["warm_hits"] >= 1
         assert second.report() == first.report()
+        # The child reports its own R=1 scan, fallback reason included.
+        scan = second.response["stats"]["r1_scan"]
+        assert scan == "compiled" or scan.startswith("numpy: ")
 
     def test_backpressure_rejects_above_high_water(self):
         instance = generate_qkp(10, 0.5, rng=5)
@@ -216,6 +219,9 @@ class TestServicePool:
         assert stats["queue"]["rejected"] == 0
         assert len(stats["workers"]) == 2
         assert {"id", "mode"} <= set(stats["workers"][0])
+        # The worker that solved reports which R=1 scan its process runs.
+        (busy,) = [w for w in stats["workers"] if w.get("jobs_done")]
+        assert busy["r1_scan"] == r1_scan_info() != "not loaded"
 
     def test_one_log_line_per_request_including_rejected(self):
         instance = generate_qkp(10, 0.5, rng=5)
