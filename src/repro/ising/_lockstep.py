@@ -68,7 +68,8 @@ def r1_scan_info() -> str:
     """Which ``R = 1`` p-bit scan runs in this process.
 
     ``"compiled"``, ``"numpy: <reason>"`` after a fallback, or ``"not
-    loaded"`` before the first ``R = 1`` float64 p-bit anneal.
+    loaded"`` before the first ``R = 1`` float64 p-bit anneal — standalone
+    or fused (:mod:`repro.ising.fleet` runs the same scan per instance).
     """
     from repro.ising import _r1scan
 
@@ -104,7 +105,8 @@ class AnnealProgram:
     (exposed for tests and the outer-loop benchmark), and ``flip_events``
     counts the scan's flip events over the program's lifetime: spin flips
     at ``R = 1``, scan steps where at least one replica flipped at
-    ``R > 1``.
+    ``R > 1`` (a fused fleet anneal counts each instance's events on the
+    instance's own program).
     """
 
     def __init__(self, coupling, dtype=None):

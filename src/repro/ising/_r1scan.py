@@ -20,14 +20,18 @@ that flipped, with that block's deltas in a buffer; Python applies the
 block's BLAS update and resumes at the next block.  Flip-free blocks cost
 no Python at all.
 
-The library is built lazily, on the first ``R = 1`` float64 p-bit anneal
-(never at import), with the host's ``cc``.  The shared object is cached
-under ``~/.cache/repro`` keyed by a hash of the C source, the compiler
-flags and the platform, and is written to a temp file then moved into
-place with ``os.replace``, so concurrent builders never load a partial
-file.  A missing compiler, a failed build or a library that will not
-load leaves the numpy scan in charge; :func:`r1_scan_info` says which
-scan runs and, for the fallback, why.
+The same scan runs each instance of an ``R = 1`` float64 fused fleet
+anneal (:mod:`repro.ising.fleet`), which hands it a whole chunk of
+threshold rows at once (:meth:`CompiledSweep.sweeps`).
+
+The library is built lazily, on the first ``R = 1`` float64 p-bit anneal,
+standalone or fused (never at import), with the host's ``cc``.  The
+shared object is cached under ``~/.cache/repro`` keyed by a hash of the C
+source, the compiler flags and the platform, and is written to a temp
+file then moved into place with ``os.replace``, so concurrent builders
+never load a partial file.  A missing compiler, a failed build or a
+library that will not load leaves the numpy scan in charge;
+:func:`r1_scan_info` says which scan runs and, for the fallback, why.
 """
 
 from __future__ import annotations
@@ -165,7 +169,8 @@ def compiled_scan():
 
 
 def r1_scan_info() -> str:
-    """``"compiled"``, ``"numpy: <reason>"`` or ``"not loaded"`` (see
+    """``"compiled"``, ``"numpy: <reason>"`` or ``"not loaded"`` before
+    the first ``R = 1`` float64 p-bit anneal, standalone or fused (see
     :func:`repro.ising._lockstep.r1_scan_info`)."""
     loaded = _loaded
     return "not loaded" if loaded is None else loaded[1]
@@ -195,8 +200,9 @@ class CompiledSweep:
 
     Holds the anneal's fixed buffers — the program's coupling, the
     maintained ``inputs`` and the ``spins`` (both updated in place) — and
-    checks them once, so a sweep only checks its threshold table.  The
-    buffers stay referenced here while C holds their addresses.
+    checks them once, so a sweep only checks its threshold table, and
+    :meth:`sweeps` checks a whole chunk of tables at once.  The buffers
+    stay referenced here while C holds their addresses.
     """
 
     def __init__(self, scan, program, inputs: np.ndarray, spins: np.ndarray,
@@ -222,12 +228,39 @@ class CompiledSweep:
 
     def sweep(self, thresholds: np.ndarray) -> None:
         """One sweep at the given ``(n,)`` float64 threshold table."""
+        self._run(_checked(thresholds, self._program.num_spins, np.float64))
+
+    def sweeps(self, table: np.ndarray):
+        """An iterator whose ``next`` runs the sweep at the next row of a
+        ``(sweeps, n)`` float64 threshold table.
+
+        The table is checked once, here — dtype, shape and C-contiguous
+        rows (the row stride may skip padding) — instead of once per
+        sweep, and the iterator keeps it referenced while C reads it.
+        """
+        n = self._program.num_spins
+        itemsize = np.dtype(np.float64).itemsize
+        if (
+            table.dtype != np.float64
+            or table.ndim != 2
+            or table.shape[1] != n
+            or (n > 1 and table.strides[1] != itemsize)
+        ):
+            raise ValueError(
+                f"compiled scan needs a (sweeps, {n}) float64 table with "
+                f"C-contiguous rows, got {table.dtype} shape {table.shape} "
+                f"strides {table.strides}"
+            )
+        base, stride = table.ctypes.data, table.strides[0]
+        return (self._run(base + k * stride) for k, _ in enumerate(table))
+
+    def _run(self, thresholds_at: int) -> None:
+        """The sweep at a checked threshold table address."""
         n = self._program.num_spins
         block = self._block
         args = (
-            self._coupling_at, self._inputs_at,
-            _checked(thresholds, n, np.float64), self._spins_at,
-            self._deltas_at, self._flips_at,
+            self._coupling_at, self._inputs_at, thresholds_at,
+            self._spins_at, self._deltas_at, self._flips_at,
         )
         scan = self._scan
         col_blocks = self._program.col_blocks

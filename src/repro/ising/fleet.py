@@ -31,20 +31,30 @@ alone with generator ``spawn_rngs(seed, B)[b]``:
 - noise is drawn per instance (``(n_b, R)`` per sweep, ``(R, n_b)``
   initial states) from that instance's own spawned stream, in the same
   order as a standalone :class:`~repro.ising.pbit.PBitMachine`;
-- the speculative event loop runs over the *union* of flip rows across
+- at ``R = 1`` and float64, each instance's sweeps run through the
+  standalone compiled scan (:class:`repro.ising._r1scan.CompiledSweep`) on
+  the instance's own rows, program and threshold rows — literally the
+  standalone chain — whenever that library builds and loads;
+- otherwise (``R > 1``, float32, or no compiled library) the numpy
+  speculative event loop runs over the *union* of flip rows across
   instances; decisions for an instance are unchanged by re-speculation at
   another instance's flip row (its local inputs did not move), so each
-  instance sees its own event sequence exactly;
+  instance sees its own event sequence exactly.  This loop is also the
+  test reference of the compiled path;
 - block flips hit the global inputs as one 2-D matmul *per flipped
   instance* with the standalone operand shapes (zero-padding a BLAS
   contraction dimension is not bit-safe, so cross-instance stacking is
   reserved for the elementwise event machinery where it is);
 - per-instance energies are float64 einsums over the instance's contiguous
-  row slice — the standalone accounting, shapes included.
+  row slice — the standalone accounting, shapes included;
+- each instance's ``AnnealProgram.flip_events`` grows by the standalone
+  count: spin flips at ``R = 1``, scan steps with a flipping replica at
+  ``R > 1``.
 
 The contract is pinned by ``tests/ising/test_fleet.py`` (kernel level) and
-``tests/core/test_fleet_engine.py`` (SAIM level); it is what makes
-``solve_many(strategy="fused")`` interchangeable with the process pool.
+``tests/core/test_fleet_engine.py`` (SAIM level), on both scans; it is
+what makes ``solve_many(strategy="fused")`` interchangeable with the
+process pool.
 """
 
 from __future__ import annotations
@@ -400,6 +410,87 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
     )
     deltas3 = np.empty((num_active, BLOCK, num_replicas), dtype=dtype)
     flipped = np.empty(num_active, dtype=bool)
+    # Per-instance flip events of the numpy scan: spin flips at R = 1,
+    # scan steps where the instance had a flipping replica at R > 1.
+    events = np.zeros(num_active, dtype=np.int64)
+
+    def numpy_sweep(thresholds3):
+        # The speculative event loop over the union of the instances'
+        # flip rows (see the module docstring).
+        for ki, i0 in enumerate(program.starts):
+            sub = sub_stacks[ki]                       # (B, BLOCK, BLOCK)
+            local = inputs3[:, i0:i0 + BLOCK].copy()   # (B, blk, R)
+            thr_blk = thresholds3[:, i0:i0 + BLOCK]
+            spins_blk = spins3[:, i0:i0 + BLOCK]       # view; writes land
+            blk = local.shape[1]
+            # Bool mirror of the block spins: the Gibbs decide
+            # ``sign(tanh) + u`` as a threshold test flips exactly
+            # where (input >= tau) disagrees with (spin == +1).
+            pos = spins_blk > 0
+            deltas = deltas3[:, :blk]
+            deltas[...] = 0
+            flipped[...] = False
+            j = 0
+            while j < blk:
+                # Speculative decide over every instance's tail at
+                # once — elementwise, so values per instance are
+                # identical to the standalone scan.
+                up = local[:, j:] >= thr_blk[:, j:]
+                flip = up != pos[:, j:]
+                row_any = flip.any(axis=(0, 2))        # (m,)
+                step = int(np.argmax(row_any))
+                if not row_any[step]:
+                    break
+                jf = j + step
+                hit = np.nonzero(flip[:, step].any(axis=1))[0]
+                up_hit = up[hit, step]
+                # delta = new - old on flipped replicas: exactly ±2
+                # (and exact +0.0 elsewhere, as in the standalone
+                # decide arithmetic).
+                delta = np.where(
+                    flip[hit, step], np.where(up_hit, two, -two), 0.0
+                ).astype(dtype, copy=False)
+                deltas[hit, jf] = delta
+                spins_blk[hit, jf] += delta
+                pos[hit, jf] = up_hit
+                if jf + 1 < blk:
+                    # In-block coupling correction, elementwise per
+                    # instance (bit-safe to batch).
+                    local[hit, jf + 1:] += (
+                        sub[hit, jf, jf + 1:, None] * delta[:, None, :]
+                    )
+                flipped[hit] = True
+                events[hit] += 1
+                j = jf + 1
+            if flipped.any():
+                # Global input update: one BLAS matmul per flipped
+                # instance with the standalone operand shapes
+                # (zero-padding a contraction dimension is not
+                # bit-safe, so no cross-instance stacking here).
+                for row in np.nonzero(flipped)[0]:
+                    width = widths[row][ki]
+                    if width <= 0:
+                        continue
+                    n = int(sizes[row])
+                    inputs3[row, :n] += (
+                        programs[row].col_blocks[ki] @ deltas[row, :width]
+                    )
+
+    sweepers = None
+    if num_replicas == 1 and dtype == np.float64:
+        # Each instance's chain is the standalone R = 1 chain, so it runs
+        # through the standalone compiled scan on its own rows.
+        from repro.ising import _r1scan
+
+        scan = _r1scan.compiled_scan()
+        if scan is not None:
+            sweepers = [
+                _r1scan.CompiledSweep(
+                    scan, prog, inputs3[row, :int(sizes[row]), 0],
+                    spins3[row, :int(sizes[row]), 0], BLOCK,
+                )
+                for row, prog in enumerate(programs)
+            ]
 
     for c0 in range(0, num_sweeps, chunk_sweeps):
         c1 = min(c0 + chunk_sweeps, num_sweeps)
@@ -426,66 +517,17 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
             thr4[:, s] = np.where(noise4[:, s] >= 0.0, -np.inf, np.inf)
         thr4 = thr4.astype(dtype, copy=False)
 
+        if sweepers is not None:
+            runs = [
+                sweeper.sweeps(thr4[row, :span, :int(sizes[row]), 0])
+                for row, sweeper in enumerate(sweepers)
+            ]
         for sweep in range(c0, c1):
-            thresholds3 = thr4[:, sweep - c0]
-
-            for ki, i0 in enumerate(program.starts):
-                sub = sub_stacks[ki]                       # (B, BLOCK, BLOCK)
-                local = inputs3[:, i0:i0 + BLOCK].copy()   # (B, blk, R)
-                thr_blk = thresholds3[:, i0:i0 + BLOCK]
-                spins_blk = spins3[:, i0:i0 + BLOCK]       # view; writes land
-                blk = local.shape[1]
-                # Bool mirror of the block spins: the Gibbs decide
-                # ``sign(tanh) + u`` as a threshold test flips exactly
-                # where (input >= tau) disagrees with (spin == +1).
-                pos = spins_blk > 0
-                deltas = deltas3[:, :blk]
-                deltas[...] = 0
-                flipped[...] = False
-                j = 0
-                while j < blk:
-                    # Speculative decide over every instance's tail at
-                    # once — elementwise, so values per instance are
-                    # identical to the standalone scan.
-                    up = local[:, j:] >= thr_blk[:, j:]
-                    flip = up != pos[:, j:]
-                    row_any = flip.any(axis=(0, 2))        # (m,)
-                    step = int(np.argmax(row_any))
-                    if not row_any[step]:
-                        break
-                    jf = j + step
-                    hit = np.nonzero(flip[:, step].any(axis=1))[0]
-                    up_hit = up[hit, step]
-                    # delta = new - old on flipped replicas: exactly ±2
-                    # (and exact +0.0 elsewhere, as in the standalone
-                    # decide arithmetic).
-                    delta = np.where(
-                        flip[hit, step], np.where(up_hit, two, -two), 0.0
-                    ).astype(dtype, copy=False)
-                    deltas[hit, jf] = delta
-                    spins_blk[hit, jf] += delta
-                    pos[hit, jf] = up_hit
-                    if jf + 1 < blk:
-                        # In-block coupling correction, elementwise per
-                        # instance (bit-safe to batch).
-                        local[hit, jf + 1:] += (
-                            sub[hit, jf, jf + 1:, None] * delta[:, None, :]
-                        )
-                    flipped[hit] = True
-                    j = jf + 1
-                if flipped.any():
-                    # Global input update: one BLAS matmul per flipped
-                    # instance with the standalone operand shapes
-                    # (zero-padding a contraction dimension is not
-                    # bit-safe, so no cross-instance stacking here).
-                    for row in np.nonzero(flipped)[0]:
-                        width = widths[row][ki]
-                        if width <= 0:
-                            continue
-                        n = int(sizes[row])
-                        inputs3[row, :n] += (
-                            programs[row].col_blocks[ki] @ deltas[row, :width]
-                        )
+            if sweepers is not None:
+                for run in runs:
+                    next(run)
+            else:
+                numpy_sweep(thr4[:, sweep - c0])
 
             if track_best:
                 energies2 = instance_energies(energies2)
@@ -511,6 +553,9 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
 
     for row, prog in enumerate(programs):
         n = int(sizes[row])
+        prog.flip_events += (
+            int(events[row]) if sweepers is None else sweepers[row].flips
+        )
         prog.retain(
             spins3[row, :n].copy(), inputs3[row, :n].copy(), fields2[row, :n]
         )

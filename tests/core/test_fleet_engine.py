@@ -60,7 +60,10 @@ def assert_reports_equal(fleet_report, solo_report):
     )
 
 
+@pytest.mark.usefixtures("r1_scan")
 class TestSolveFleetEquivalence:
+    """Through both the compiled and the numpy R=1 scan."""
+
     @pytest.mark.parametrize("num_replicas", [1, 3])
     def test_matches_serial_solve_loop(self, num_replicas):
         problems = fleet_problems()

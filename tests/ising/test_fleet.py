@@ -2,18 +2,23 @@
 
 The headline contract (``repro.ising.fleet``): instance ``b`` of a fused
 fleet anneal is *bit-identical* to a standalone :class:`PBitMachine` run on
-the same spawned stream — samples, energies and traces, at every dtype and
-replica count, whatever subset of the fleet is active.  The cross-backend
+the same spawned stream — samples, energies, traces and flip counts, at
+every dtype and replica count, whatever subset of the fleet is active, on
+the compiled and the numpy ``R = 1`` scan alike.  The cross-backend
 no-crosstalk property behind it is pinned separately: on a block-diagonal
 Hamiltonian a backend's rows for instance A must be unaffected by instance
 B's fields.
 """
+
+import shutil
 
 import numpy as np
 import pytest
 
 import repro
 from repro.core.schedule import linear_beta_schedule
+from repro.ising import _r1scan
+from repro.ising._lockstep import r1_scan_info
 from repro.ising.backend import dispatch_anneal_many
 from repro.ising.fleet import FleetMachine, FleetProgram
 from repro.ising.model import IsingModel
@@ -142,8 +147,10 @@ class TestFleetMachineValidation:
             result.instance(1)
 
 
+@pytest.mark.usefixtures("r1_scan")
 class TestFleetBitIdentity:
-    """Fused per-instance chains == standalone machines, bit for bit."""
+    """Fused per-instance chains == standalone machines, bit for bit,
+    through both the compiled and the numpy R=1 scan."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("num_replicas", [1, 3])
@@ -160,6 +167,21 @@ class TestFleetBitIdentity:
             assert_batches_equal(
                 fused.instance(index), expected[index], traces=True
             )
+
+    @pytest.mark.parametrize("num_replicas", [1, 3])
+    def test_flip_events_match_standalone(self, num_replicas):
+        """Each instance's program counts the standalone run's flip
+        events: spin flips at R=1, flipping scan steps at R>1."""
+        models = fleet_models()
+        machine = FleetMachine(models, rng=42)
+        machine.anneal_fleet(fleet_schedule(), num_replicas)
+        streams = spawn_rngs(42, len(models))
+        for model, stream, program in zip(
+            models, streams, machine.program.programs
+        ):
+            solo = PBitMachine(model, rng=stream)
+            solo.anneal_many(fleet_schedule(), num_replicas)
+            assert program.flip_events == solo.program.flip_events > 0
 
     def test_active_subset_is_invariant(self):
         """An instance's chain is the same whatever else is active."""
@@ -218,6 +240,46 @@ class TestFleetBitIdentity:
             np.testing.assert_allclose(
                 batch.last_energies, recomputed, rtol=1e-9, atol=1e-9
             )
+
+
+class TestCompiledFleetScan:
+    """R=1 float64 fused anneals: the compiled scan == the numpy scan."""
+
+    # One instance per edge of the 32-spin block grid, plus the
+    # paper-size MKP encodings (~110 spins).
+    SIZES = (1, 31, 32, 33, 70, 110)
+
+    @staticmethod
+    def _run(models, active, track_best):
+        machine = FleetMachine(models, rng=9)
+        result = machine.anneal_fleet(
+            fleet_schedule(20), active=active, record_energy=track_best,
+            track_best=track_best,
+        )
+        return result, [p.flip_events for p in machine.program.programs]
+
+    @pytest.mark.parametrize("active", [None, [0, 2, 3, 5]])
+    @pytest.mark.parametrize("track_best", [True, False])
+    def test_compiled_matches_numpy(self, active, track_best, monkeypatch):
+        """Samples, energies, traces and flip counts, bit for bit, from a
+        beta=0 first sweep, on the whole fleet and on an active subset."""
+        models = fleet_models(self.SIZES, seed=100)
+        compiled, compiled_flips = self._run(models, active, track_best)
+        assert r1_scan_info() == (
+            "compiled" if shutil.which("cc")
+            else "numpy: no C compiler (cc) on PATH"
+        )
+        monkeypatch.setattr(_r1scan, "compiled_scan", lambda: None)
+        reference, reference_flips = self._run(models, active, track_best)
+        assert compiled.indices == reference.indices
+        for index in compiled.indices:
+            assert_batches_equal(
+                compiled.instance(index), reference.instance(index),
+                traces=track_best,
+            )
+        assert compiled_flips == reference_flips
+        for index, flips in enumerate(compiled_flips):
+            assert (flips > 0) == (index in compiled.indices)
 
 
 def block_diagonal(model_a: IsingModel, model_b: IsingModel,

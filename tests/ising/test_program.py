@@ -43,15 +43,6 @@ HAS_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 
 
-@pytest.fixture(params=["compiled", "numpy"])
-def r1_scan(request, monkeypatch):
-    """Run the test once per R=1 p-bit scan; "compiled" is the default
-    path (the numpy fallback when no compiler is on PATH)."""
-    if request.param == "numpy":
-        monkeypatch.setattr(_r1scan, "compiled_scan", lambda: None)
-    return request.param
-
-
 def _r1_runs(n, seed):
     """Two seeded R=1 p-bit anneals, the second a warm restart.
 
@@ -634,3 +625,13 @@ class TestCompiledScanBuild:
         sweep = _r1scan.CompiledSweep(None, program, inputs, spins, BLOCK)
         with pytest.raises(ValueError, match="40 elements"):
             sweep.sweep(np.zeros(41))
+        for bad_table in (
+            np.zeros((3, 40), dtype=np.float32),  # dtype
+            np.zeros((3, 80))[:, ::2],  # rows not contiguous
+            np.zeros((3, 41)),  # row length
+            np.zeros(40),  # not a (sweeps, n) table
+        ):
+            with pytest.raises(ValueError, match="C-contiguous rows"):
+                sweep.sweeps(bad_table)
+        # Rows may skip padding (the fused fleet's (sweeps, npad) grid).
+        sweep.sweeps(np.zeros((3, 64))[:, :40])

@@ -18,7 +18,8 @@ make them interchangeable, over randomized Ising models:
     summation order) they are bit-identical;
 (d) **R = 1 scan equivalence** — the compiled in-block event loop of the
     p-bit scan and the numpy scan it replaces apply the same operations to
-    the same values, so on float-weight models they are bit-identical.
+    the same values, so on float-weight models they are bit-identical —
+    standalone and inside a fused fleet alike.
 """
 
 import inspect
@@ -31,6 +32,7 @@ import repro
 from repro.core.schedule import constant_beta_schedule, linear_beta_schedule
 from repro.ising import _r1scan
 from repro.ising.backend import dispatch_anneal_many
+from repro.ising.fleet import FleetMachine
 from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
 from repro.ising.sa import MetropolisMachine
@@ -231,6 +233,16 @@ class TestChromaticLayoutEquivalence:
         )
 
 
+def _with_numpy_scan(run):
+    """``run()`` with the compiled R=1 scan hidden (the numpy fallback)."""
+    loaded = _r1scan.compiled_scan
+    try:
+        _r1scan.compiled_scan = lambda: None
+        return run()
+    finally:
+        _r1scan.compiled_scan = loaded
+
+
 class TestR1ScanEquivalence:
     """(d) compiled R=1 p-bit scan == numpy R=1 scan, bit for bit."""
 
@@ -243,16 +255,40 @@ class TestR1ScanEquivalence:
         compiled = PBitMachine(model, rng=seed).anneal(
             schedule, record_energy=True
         )
-        loaded = _r1scan.compiled_scan
-        try:
-            _r1scan.compiled_scan = lambda: None
-            reference = PBitMachine(model, rng=seed).anneal(
+        reference = _with_numpy_scan(
+            lambda: PBitMachine(model, rng=seed).anneal(
                 schedule, record_energy=True
             )
-        finally:
-            _r1scan.compiled_scan = loaded
+        )
         for name in ("last_sample", "best_sample", "energy_trace"):
             np.testing.assert_array_equal(
                 getattr(compiled, name), getattr(reference, name)
             )
         assert compiled.best_energy == reference.best_energy
+
+    @given(
+        seed=seeds,
+        sizes=st.lists(st.integers(1, 80), min_size=1, max_size=5),
+        sweeps=st.integers(1, 8),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fused_fleet_bit_identical(self, seed, sizes, sweeps):
+        models = [
+            random_ising(n, rng=seed + index) for index, n in enumerate(sizes)
+        ]
+        schedule = np.concatenate([[0.0], linear_beta_schedule(5.0, sweeps)])
+
+        def run():
+            return FleetMachine(models, rng=seed).anneal_fleet(
+                schedule, record_energy=True
+            )
+
+        compiled = run()
+        reference = _with_numpy_scan(run)
+        for index in range(len(models)):
+            got, want = compiled.instance(index), reference.instance(index)
+            for name in ("last_samples", "best_samples", "last_energies",
+                         "best_energies", "energy_traces"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name)
+                )
