@@ -18,7 +18,7 @@ from repro.core.hybrid_encoding import (
     encode_with_hybrid_slacks,
     max_coefficient_ratio,
 )
-from repro.core.saim import SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
 from repro.problems.generators import paper_qkp_instance
 
 from _common import archive, run_once
@@ -40,7 +40,7 @@ def test_ablation_encoding(benchmark):
                 encoded = encode_with_slacks(problem)
             else:
                 encoded = encode_with_hybrid_slacks(problem, unary_bits=unary)
-            saim = SelfAdaptiveIsingMachine(config)
+            saim = SaimEngine(config)
             result = saim.solve_encoded(encoded, rng=17)
             if result.found_feasible:
                 reference = max(reference, -result.best_cost)

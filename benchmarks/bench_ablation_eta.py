@@ -14,7 +14,7 @@ import numpy as np
 from repro.analysis.experiments import current_scale, qkp_saim_config
 from repro.analysis.tables import format_percent, render_table
 from repro.baselines.exact_qkp import reference_qkp_optimum
-from repro.core.saim import SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
 from repro.problems.generators import paper_qkp_instance
 
 from _common import archive, run_once
@@ -56,7 +56,7 @@ def test_ablation_eta(benchmark):
             accuracies = []
             feasibilities = []
             for instance in instances:
-                result = SelfAdaptiveIsingMachine(config).solve(
+                result = SaimEngine(config).solve(
                     instance.to_problem(), rng=3
                 )
                 reference = references[instance.name]

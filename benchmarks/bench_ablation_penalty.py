@@ -14,7 +14,7 @@ import numpy as np
 from repro.analysis.experiments import current_scale, qkp_saim_config
 from repro.analysis.tables import format_percent, render_table
 from repro.baselines.exact_qkp import reference_qkp_optimum
-from repro.core.saim import SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
 from repro.problems.generators import paper_qkp_instance
 
 from _common import archive, run_once
@@ -33,7 +33,7 @@ def test_ablation_penalty(benchmark):
         accuracies = {}
         for alpha in ALPHAS:
             config = replace(base, alpha=alpha)
-            result = SelfAdaptiveIsingMachine(config).solve(
+            result = SaimEngine(config).solve(
                 instance.to_problem(), rng=5
             )
             if result.found_feasible:
@@ -41,7 +41,7 @@ def test_ablation_penalty(benchmark):
         # Second pass to score against the tightest reference seen.
         for alpha in ALPHAS:
             config = replace(base, alpha=alpha)
-            result = SelfAdaptiveIsingMachine(config).solve(
+            result = SaimEngine(config).solve(
                 instance.to_problem(), rng=5
             )
             accuracy = (

@@ -16,7 +16,7 @@ from repro.analysis.tts import saim_tts_from_trace, time_to_solution
 from repro.baselines.exact_qkp import reference_qkp_optimum
 from repro.core.encoding import encode_with_slacks
 from repro.core.penalty import tune_penalty
-from repro.core.saim import SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
 from repro.problems.generators import paper_qkp_instance
 
 from _common import archive, run_once
@@ -31,7 +31,7 @@ def test_ext_tts(benchmark):
 
     def experiment():
         reference = reference_qkp_optimum(instance, rng=0)
-        saim = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=29)
+        saim = SaimEngine(config).solve(instance.to_problem(), rng=29)
         if saim.found_feasible:
             reference = max(reference, -saim.best_cost)
 

@@ -12,7 +12,7 @@ Run:  python examples/capital_budgeting.py
 
 import numpy as np
 
-from repro import MkpInstance, SaimConfig, SelfAdaptiveIsingMachine
+from repro import MkpInstance, SaimConfig, SaimEngine
 from repro.baselines.ga import GaConfig, chu_beasley_ga
 from repro.baselines.milp import solve_mkp_exact
 
@@ -53,7 +53,7 @@ def main():
     config = SaimConfig.mkp_paper().scaled(
         iteration_factor=200 / 5000, mcs_factor=0.3, compensate_eta=True
     )
-    result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=3)
+    result = SaimEngine(config).solve(instance.to_problem(), rng=3)
     if result.found_feasible:
         npv = -result.best_cost
         print(f"SAIM (p-bit IM):           NPV = {npv:.0f} "

@@ -24,7 +24,7 @@ from repro import (
     LinearConstraints,
     PolyProblem,
     SaimConfig,
-    SelfAdaptiveIsingMachine,
+    SaimEngine,
     encode_with_slacks,
     generate_qkp,
     penalty_method_solve,
@@ -57,7 +57,7 @@ def main():
         print("  no feasible portfolio found (P below critical value)")
 
     config = SaimConfig(num_iterations=budget_runs, mcs_per_run=budget_mcs)
-    result = SelfAdaptiveIsingMachine(config).solve(problem, rng=5)
+    result = SaimEngine(config).solve(problem, rng=5)
     print(f"\nSAIM, same budget and same initial P:")
     print(f"  feasible samples: {100 * result.feasible_ratio:.0f}%")
     if result.found_feasible:

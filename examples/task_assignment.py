@@ -14,7 +14,7 @@ Run:  python examples/task_assignment.py
 
 import numpy as np
 
-from repro import SaimConfig, SelfAdaptiveIsingMachine
+from repro import SaimConfig, SaimEngine
 from repro.problems.gap import generate_gap, solve_gap_exact
 
 
@@ -32,7 +32,7 @@ def main():
         num_iterations=150, mcs_per_run=300,
         eta=5.0, eta_decay="sqrt", normalize_step=True, alpha=5.0,
     )
-    result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=1)
+    result = SaimEngine(config).solve(instance.to_problem(), rng=1)
 
     if not result.found_feasible:
         print("SAIM found no complete assignment - increase the budget")

@@ -65,7 +65,6 @@ from repro.core import (
     SolveReport,
     SaimEngine,
     FleetEngine,
-    SelfAdaptiveIsingMachine,
     build_penalty_qubo,
     density_heuristic_penalty,
     encode_with_slacks,
@@ -178,7 +177,6 @@ __all__ = [
     "SaimResult",
     "SaimEngine",
     "FleetEngine",
-    "SelfAdaptiveIsingMachine",
     "build_penalty_qubo",
     "density_heuristic_penalty",
     "encode_with_slacks",

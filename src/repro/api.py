@@ -56,7 +56,6 @@ Usage::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from repro.core.report import SolveReport, coerce_report
@@ -403,7 +402,6 @@ def solve_fleet(
     across instances (the fused call is indivisible).
     """
     from repro.core.fleet_engine import FleetEngine
-    from repro.ising.backend import resolve_dtype
 
     problems = list(problems)
     if backend is not None and backend != "pbit":
@@ -421,15 +419,7 @@ def solve_fleet(
             f"{sorted(options)}"
         )
     resolved = _build_config(config, config_overrides)
-    if (
-        option_dtype is not None
-        and resolved.dtype is not None
-        and resolve_dtype(option_dtype) != resolve_dtype(resolved.dtype)
-    ):
-        raise ValueError(
-            f"conflicting dtypes: SaimConfig(dtype={resolved.dtype!r}) vs "
-            f"backend_options dtype {option_dtype!r}; pass one spelling"
-        )
+    _check_dtype_agreement(resolved, option_dtype)
     if option_dtype is not None and resolved.dtype is None:
         resolved = replace(resolved, dtype=option_dtype)
 
@@ -450,18 +440,9 @@ def solve_fleet(
 
     reports = []
     for instance, problem, result in zip(instances, problems, results):
-        name = getattr(instance, "name", "") or getattr(problem, "name", "")
-        report = SolveReport(
-            method="saim",
-            backend="pbit",
-            best_x=result.best_x,
-            best_cost=result.best_cost,
-            feasible=result.found_feasible,
-            num_iterations=result.num_iterations,
-            detail=result,
-            num_replicas=result.num_replicas,
-            total_mcs=result.total_mcs,
-            problem_name=name,
+        report = _saim_report(result, "pbit")
+        report.problem_name = (
+            getattr(instance, "name", "") or getattr(problem, "name", "")
         )
         report.wall_seconds = share
         reports.append(report)
@@ -549,30 +530,10 @@ def _chromatic_builder(dtype: str | None = None, storage: str | None = None):
     return factory
 
 
-def _pt_builder(num_chains: int | None = None, beta_min: float = 0.1,
-                read_out: str = "cold", num_replicas: int | None = None,
-                dtype: str | None = None):
+def _pt_builder(num_chains: int = 8, beta_min: float = 0.1,
+                read_out: str = "cold", dtype: str | None = None):
     # `num_chains` is the number of parallel-tempering chains inside ONE
-    # machine; the historical builder knob `num_replicas` collided in
-    # meaning with the engine-level replica batch (independent annealing
-    # runs per SAIM iteration) and survives only as a deprecated alias.
-    if num_replicas is not None:
-        warnings.warn(
-            "backend_options={'num_replicas': ...} for the 'pt' backend is "
-            "deprecated; the knob is the per-machine chain count - use "
-            "'num_chains' (engine-level replicas stay the num_replicas "
-            "argument of repro.solve)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if num_chains is not None and num_chains != num_replicas:
-            raise ValueError(
-                f"conflicting pt chain counts: num_chains={num_chains} vs "
-                f"deprecated num_replicas={num_replicas}; pass num_chains only"
-            )
-        num_chains = num_replicas
-    if num_chains is None:
-        num_chains = 8
+    # machine (engine-level replicas stay repro.solve's num_replicas).
     if num_chains < 1:
         raise ValueError(f"num_chains must be >= 1, got {num_chains}")
     from repro.ising.pt_machine import PTMachine
@@ -610,18 +571,12 @@ def _higher_order_builder(dtype: str | None = None):
 def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
               rng, initial_lambdas, backend_options, method_options, **_):
     from repro.core.engine import SaimEngine
-    from repro.ising.backend import resolve_dtype
 
     if method_options:
         raise ValueError(
             f"the saim method has no method_options (got "
             f"{sorted(method_options)}); its settings live on SaimConfig"
         )
-    # The precision knob has two front-door spellings —
-    # ``backend_options={"dtype": ...}`` and ``SaimConfig(dtype=...)``.
-    # They must agree when both are given explicitly (the config default
-    # ``None`` defers to the backend options); either way a single
-    # resolved dtype reaches the machine factory.
     if restart == "warm" and backend == "pt":
         # PTMachine owns its replica initialization (anneal's `initial` is
         # interface parity only), so a warm restart would be silently
@@ -631,7 +586,26 @@ def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
             "tempering re-initializes its own replica ladder every run"
         )
     options = dict(backend_options or {})
-    option_dtype = options.get("dtype")
+    _check_dtype_agreement(config, options.get("dtype"))
+    engine = SaimEngine(
+        config,
+        num_replicas=num_replicas,
+        aggregate=aggregate,
+        restart=restart,
+        machine_factory=make_backend_factory(backend, **options),
+    )
+    result = engine.solve(problem, rng=rng, initial_lambdas=initial_lambdas)
+    return _saim_report(result, backend)
+
+
+def _check_dtype_agreement(config, option_dtype) -> None:
+    # The precision knob has two front-door spellings —
+    # ``backend_options={"dtype": ...}`` and ``SaimConfig(dtype=...)``.
+    # They must agree when both are given explicitly (the config default
+    # ``None`` defers to the backend options); either way a single
+    # resolved dtype reaches the machine.
+    from repro.ising.backend import resolve_dtype
+
     if (
         option_dtype is not None
         and config.dtype is not None
@@ -641,14 +615,10 @@ def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
             f"conflicting dtypes: SaimConfig(dtype={config.dtype!r}) vs "
             f"backend_options dtype {option_dtype!r}; pass one spelling"
         )
-    engine = SaimEngine(
-        config,
-        num_replicas=num_replicas,
-        aggregate=aggregate,
-        restart=restart,
-        machine_factory=make_backend_factory(backend, **options),
-    )
-    result = engine.solve(problem, rng=rng, initial_lambdas=initial_lambdas)
+
+
+def _saim_report(result, backend) -> SolveReport:
+    """The front-door report of one SAIM engine result."""
     return SolveReport(
         method="saim",
         backend=backend,
@@ -697,21 +667,12 @@ def _run_auto(problem, *, config, backend, num_replicas, aggregate, restart,
         restart=plan.restart, rng=rng, initial_lambdas=initial_lambdas,
         backend_options=plan.backend_options(), method_options={},
     )
-    detail = AutoSolveDetail(
+    report.method = "auto"
+    report.detail = AutoSolveDetail(
         plan=plan, features=features, prediction=prediction,
         result=report.detail,
     )
-    return SolveReport(
-        method="auto",
-        backend=report.backend,
-        best_x=report.best_x,
-        best_cost=report.best_cost,
-        feasible=report.feasible,
-        num_iterations=report.num_iterations,
-        detail=detail,
-        num_replicas=report.num_replicas,
-        total_mcs=report.total_mcs,
-    )
+    return report
 
 
 def _run_penalty(problem, *, config, backend, num_replicas, aggregate,

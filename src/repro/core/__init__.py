@@ -10,8 +10,10 @@ Pipeline (Fig. 1 of the paper):
    ``E = f + P ||g||^2`` as a QUBO (and the tuning-loop baseline).
 4. :mod:`~repro.core.lagrangian` — adds the relaxation ``L = E + lambda^T g``
    with cheap field-only updates when ``lambda`` moves.
-5. :class:`~repro.core.saim.SelfAdaptiveIsingMachine` — Algorithm 1:
-   alternate Ising-machine minimization with subgradient multiplier ascent.
+5. :class:`~repro.core.engine.SaimEngine` — Algorithm 1: alternate
+   Ising-machine minimization with subgradient multiplier ascent
+   (:class:`~repro.core.fleet_engine.FleetEngine` runs the same loop over
+   a fused fleet of problems).
 """
 
 from repro.core.problem import ConstrainedProblem, LinearConstraints
@@ -30,7 +32,7 @@ from repro.core.schedule import (
     geometric_beta_schedule,
     constant_beta_schedule,
 )
-from repro.core.saim import SelfAdaptiveIsingMachine, SaimConfig, SaimResult
+from repro.core.saim import SaimConfig, SaimResult
 from repro.core.engine import SaimEngine
 from repro.core.fleet_engine import FleetEngine
 from repro.core.report import SolveReport, coerce_report
@@ -40,7 +42,6 @@ from repro.core.hybrid_encoding import (
     hybrid_slack_weights,
     max_coefficient_ratio,
 )
-from repro.core.parallel_saim import ParallelSaim, ParallelSaimConfig
 from repro.core.dual import (
     dual_value,
     dual_minimizer,
@@ -68,8 +69,6 @@ __all__ = [
     "encode_with_hybrid_slacks",
     "hybrid_slack_weights",
     "max_coefficient_ratio",
-    "ParallelSaim",
-    "ParallelSaimConfig",
     "ConstrainedProblem",
     "LinearConstraints",
     "EncodedProblem",
@@ -85,7 +84,6 @@ __all__ = [
     "linear_beta_schedule",
     "geometric_beta_schedule",
     "constant_beta_schedule",
-    "SelfAdaptiveIsingMachine",
     "SaimEngine",
     "FleetEngine",
     "SaimConfig",

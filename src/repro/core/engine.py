@@ -12,13 +12,18 @@ aggregate:
 - ``"mean"`` — the average residual over replicas (a smoothed subgradient).
 
 :class:`SaimEngine` is the single implementation of that loop.  With
-``num_replicas=1`` it reproduces the paper's serial Algorithm 1 bit-for-bit
-(:class:`repro.core.saim.SelfAdaptiveIsingMachine` is a thin shim over it);
-with ``R > 1`` every iteration is one batched ``anneal_many`` call on the
-backend (:class:`repro.core.parallel_saim.ParallelSaim` is the shim for
-that).  Every configuration knob — schedule choice, eta decay, normalized
-steps, warm-started multipliers, early exits, custom machine factories —
-works identically at any replica count.
+``num_replicas=1`` it reproduces the paper's serial Algorithm 1
+bit-for-bit; with ``R > 1`` every iteration is one batched
+``anneal_many`` call on the backend.  Every configuration knob — schedule
+choice, eta decay, normalized steps, warm-started multipliers, early
+exits, custom machine factories — works identically at any replica count.
+
+The loop body is per instance: ``_instance`` builds one problem's state,
+``_advance`` reads out one iteration and steps its multipliers, and
+``_finish`` turns the state into a :class:`~repro.core.saim.SaimResult`.
+:meth:`SaimEngine.solve_encoded` drives one instance; the fused-fleet
+subclass :class:`repro.core.fleet_engine.FleetEngine` drives ``B`` of them
+through the same three methods with one fused kernel call per iteration.
 
 The engine drives machines exclusively through the
 :class:`repro.ising.backend.AnnealingBackend` protocol; machines exposing
@@ -49,6 +54,38 @@ from repro.utils.rng import ensure_rng
 
 AGGREGATES = ("best", "mean")
 RESTARTS = ("random", "warm")
+
+
+class _Instance:
+    """One problem's Algorithm 1 state: Lagrangian, multipliers, trace and
+    incumbent, threaded through :meth:`SaimEngine._advance`."""
+
+    def __init__(self, encoded, lagrangian, penalty, lambdas, num_iterations):
+        self.encoded = encoded
+        self.lagrangian = lagrangian
+        self.penalty = penalty
+        self.lambdas = lambdas
+        self.fields_buf = np.empty(lagrangian.num_spins)
+        self.sample_costs = np.empty(num_iterations)
+        self.feasible_mask = np.zeros(num_iterations, dtype=bool)
+        self.lambda_history = np.empty((num_iterations, lambdas.size))
+        self.energies = np.empty(num_iterations)
+        self.best_x = None
+        self.best_cost = np.inf
+        self.feasible_records = []
+        self.stall = 0
+        self.k_ran = 0
+
+    def program(self, k: int):
+        """Record iteration ``k``'s multipliers; return its ``(fields, offset)``.
+
+        Reprogramming is one matvec into one standing buffer:
+        ``program_for`` computes fields and offset from a single
+        ``A^T lambda`` product, and the machines copy on ``set_fields``, so
+        the loop allocates no field arrays.
+        """
+        self.lambda_history[k] = self.lambdas
+        return self.lagrangian.program_for(self.lambdas, out=self.fields_buf)
 
 
 class SaimEngine:
@@ -113,7 +150,7 @@ class SaimEngine:
             machine_factory if machine_factory is not None else PBitMachine
         )
 
-    def _build_machine(self, model, rng, dtype: str | None):
+    def _build_machine(self, model, rng):
         """Build the backend, threading an explicit ``config.dtype``.
 
         The default ``None`` keeps the historical two-argument factory
@@ -125,6 +162,7 @@ class SaimEngine:
         ``"float32"``.  A TypeError raised *inside* a dtype-aware factory
         propagates untouched.
         """
+        dtype = self.config.dtype
         if dtype is None:
             return self.machine_factory(model, rng=rng)
         try:
@@ -153,26 +191,50 @@ class SaimEngine:
         to the original problem.  ``initial_lambdas`` warm-starts the
         multipliers (the paper always starts from zero).
         """
-        encoded = encode_with_slacks(problem)
-        return self.solve_encoded(encoded, rng=rng, initial_lambdas=initial_lambdas)
+        return self.solve_encoded(
+            encode_with_slacks(problem), rng=rng, initial_lambdas=initial_lambdas
+        )
 
     def solve_encoded(self, encoded: EncodedProblem, rng=None,
                       initial_lambdas=None) -> SaimResult:
         """Run the engine loop on an already slack-encoded problem."""
-        config = self.config
-        replicas = self.num_replicas
         rng = ensure_rng(rng)
+        state = self._instance(encoded, initial_lambdas)
+        machine = self._build_machine(state.lagrangian.base_ising, rng)
+        schedule = self._schedule()
+        # With restart="warm" each run resumes from the previous one's
+        # final spins (solve-resident annealing); with "random" (the
+        # paper) every run starts fresh.
+        initial = None
+        for k in range(self.config.num_iterations):
+            machine.set_fields(*state.program(k))
+            batch = dispatch_anneal_many(
+                machine, schedule, self.num_replicas, initial=initial
+            )
+            if self.restart == "warm":
+                initial = batch.last_samples
+            if not self._advance(state, batch, k):
+                break
+        return self._finish(state)
+
+    def _schedule(self) -> np.ndarray:
+        config = self.config
+        return _SCHEDULES[config.schedule](config.beta_max, config.mcs_per_run)
+
+    def _instance(self, encoded: EncodedProblem, initial_lambdas) -> _Instance:
+        """Normalize ``encoded``, set its penalty, build its Lagrangian (PUBO
+        objectives only on an ``accepts_poly`` factory) and its state."""
+        config = self.config
         normalized, _scales = normalize_problem(encoded.problem)
         if config.penalty is not None:
             penalty = float(config.penalty)
         else:
             penalty = density_heuristic_penalty(normalized, alpha=config.alpha)
         if isinstance(normalized, PolyProblem):
-            if not getattr(self.machine_factory, "accepts_poly", False):
-                label = getattr(
-                    self.machine_factory, "backend_name", None
-                ) or getattr(
-                    self.machine_factory, "__name__", repr(self.machine_factory)
+            factory = self.machine_factory
+            if not getattr(factory, "accepts_poly", False):
+                label = getattr(factory, "backend_name", None) or getattr(
+                    factory, "__name__", repr(factory)
                 )
                 raise ValueError(
                     "problem has a polynomial (PUBO) objective; the "
@@ -182,14 +244,7 @@ class SaimEngine:
             lagrangian = PolyLagrangianIsing(normalized, penalty)
         else:
             lagrangian = LagrangianIsing(normalized, penalty)
-        machine = self._build_machine(lagrangian.base_ising, rng, config.dtype)
-        schedule_fn = _SCHEDULES[config.schedule]
-        if config.schedule == "linear":
-            schedule = schedule_fn(config.beta_max, config.mcs_per_run, beta_min=0.0)
-        else:
-            schedule = schedule_fn(config.beta_max, config.mcs_per_run)
 
-        source = encoded.source
         num_multipliers = lagrangian.num_multipliers
         if initial_lambdas is None:
             lambdas = np.zeros(num_multipliers)
@@ -200,121 +255,98 @@ class SaimEngine:
                     f"initial_lambdas must have shape ({num_multipliers},), "
                     f"got {lambdas.shape}"
                 )
+        return _Instance(
+            encoded, lagrangian, penalty, lambdas, config.num_iterations
+        )
 
-        k_total = config.num_iterations
-        sample_costs = np.empty(k_total)
-        feasible_mask = np.zeros(k_total, dtype=bool)
-        lambda_history = np.empty((k_total, num_multipliers))
-        energies = np.empty(k_total)
+    def _advance(self, state, batch, k: int) -> bool:
+        """Bank iteration ``k``'s read-out, trace its lead replica and step
+        the multipliers; ``False`` once an early exit fires."""
+        config = self.config
+        replicas = self.num_replicas
+        source = state.encoded.source
+        # One coherent read-out view: with read_best the consumed samples
+        # AND the energies that rank/trace them come from the per-replica
+        # best, never mixed with the last-sweep arrays.
+        samples, readout_energies = (
+            (batch.best_samples, batch.best_energies) if config.read_best
+            else (batch.last_samples, batch.last_energies)
+        )
+        xs_ext = ((np.asarray(samples) + 1) / 2).astype(np.int8)
 
-        best_x = None
-        best_cost = np.inf
-        feasible_records = []
-        stall = 0
-        k_ran = 0
+        # Harvest every replica's read-out for the incumbent.
+        improved = False
+        restricted = [state.encoded.restrict(x) for x in xs_ext]
+        feasible = [source.is_feasible(x) for x in restricted]
+        for x, ok in zip(restricted, feasible):
+            cost = source.objective(x) if ok else np.inf
+            if cost < state.best_cost:
+                state.best_cost = cost
+                state.best_x = x
+                improved = True
 
-        # Per-iteration reprogramming is one matvec into one standing
-        # buffer: program_for computes fields and offset from a single
-        # A^T lambda product, and the machines copy on set_fields, so the
-        # loop allocates no field arrays.  With restart="warm" each run
-        # resumes from the previous one's final spins (solve-resident
-        # annealing); with "random" (the paper) every run starts fresh.
-        fields_buf = np.empty(lagrangian.num_spins)
-        initial = None
-
-        for k in range(k_total):
-            lambda_history[k] = lambdas
-            machine.set_fields(*lagrangian.program_for(lambdas, out=fields_buf))
-            batch = dispatch_anneal_many(
-                machine, schedule, replicas, initial=initial
+        # The lead replica feeds the trace and (for "best") the update.
+        mean = self.aggregate == "mean" and replicas > 1
+        lead = int(np.argmin(readout_energies)) if replicas > 1 and not mean else 0
+        x_lead = restricted[lead]
+        cost_lead = source.objective(x_lead)
+        state.sample_costs[k] = cost_lead
+        state.energies[k] = readout_energies[lead]
+        if feasible[lead]:
+            state.feasible_mask[k] = True
+            state.feasible_records.append(
+                FeasibleRecord(iteration=k, x=x_lead, cost=cost_lead)
             )
-            if self.restart == "warm":
-                initial = batch.last_samples
-            # One coherent read-out view: with read_best the consumed samples
-            # AND the energies that rank/trace them come from the per-replica
-            # best, never mixed with the last-sweep arrays.
-            if config.read_best:
-                samples = batch.best_samples
-                readout_energies = batch.best_energies
-            else:
-                samples = batch.last_samples
-                readout_energies = batch.last_energies
-            xs_ext = ((np.asarray(samples) + 1) / 2).astype(np.int8)
 
-            # Harvest every replica's read-out for the incumbent.
-            improved = False
-            restricted = [encoded.restrict(xs_ext[r]) for r in range(replicas)]
-            feasible = [source.is_feasible(x) for x in restricted]
-            for r in range(replicas):
-                if not feasible[r]:
-                    continue
-                cost = source.objective(restricted[r])
-                if cost < best_cost:
-                    best_cost = cost
-                    best_x = restricted[r]
-                    improved = True
+        lagrangian = state.lagrangian
+        if mean:
+            residual = np.mean([lagrangian.residuals(x) for x in xs_ext], axis=0)
+        else:
+            residual = lagrangian.residuals(xs_ext[lead])
 
-            # The lead replica feeds the trace and (for "best") the update.
-            lead = int(np.argmin(readout_energies)) if replicas > 1 else 0
-            if self.aggregate == "mean" and replicas > 1:
-                lead = 0
-            x_lead = restricted[lead]
-            cost_lead = source.objective(x_lead)
-            sample_costs[k] = cost_lead
-            energies[k] = readout_energies[lead]
-            if feasible[lead]:
-                feasible_mask[k] = True
-                feasible_records.append(
-                    FeasibleRecord(iteration=k, x=x_lead, cost=cost_lead)
-                )
+        step = config.eta * _ETA_DECAYS[config.eta_decay](k)
+        direction = residual
+        if config.normalize_step:
+            norm = float(np.linalg.norm(residual))
+            if norm > 1e-12:
+                direction = residual / norm
+        state.lambdas = state.lambdas + step * direction
+        state.k_ran = k + 1
 
-            if self.aggregate == "mean" and replicas > 1:
-                residual = np.mean(
-                    [lagrangian.residuals(xs_ext[r]) for r in range(replicas)],
-                    axis=0,
-                )
-            else:
-                residual = lagrangian.residuals(xs_ext[lead])
+        # Optional early exits (disabled by default; the paper always
+        # spends the full budget).
+        if (
+            config.target_cost is not None
+            and state.best_x is not None
+            and state.best_cost <= config.target_cost + 1e-12
+        ):
+            return False
+        if config.patience is not None and state.best_x is not None:
+            state.stall = 0 if improved else state.stall + 1
+            if state.stall >= config.patience:
+                return False
+        return True
 
-            step = config.eta * _ETA_DECAYS[config.eta_decay](k)
-            direction = residual
-            if config.normalize_step:
-                norm = float(np.linalg.norm(residual))
-                if norm > 1e-12:
-                    direction = residual / norm
-            lambdas = lambdas + step * direction
-            k_ran = k + 1
-
-            # Optional early exits (disabled by default; the paper always
-            # spends the full budget).
-            if (
-                config.target_cost is not None
-                and best_x is not None
-                and best_cost <= config.target_cost + 1e-12
-            ):
-                break
-            if config.patience is not None and best_x is not None:
-                stall = 0 if improved else stall + 1
-                if stall >= config.patience:
-                    break
-
+    def _finish(self, state) -> SaimResult:
+        config = self.config
+        k_ran = state.k_ran
         trace = None
         if config.record_trace:
             trace = SolveTrace(
-                sample_costs=sample_costs[:k_ran],
-                feasible=feasible_mask[:k_ran],
-                lambdas=lambda_history[:k_ran],
-                energies=energies[:k_ran],
+                sample_costs=state.sample_costs[:k_ran],
+                feasible=state.feasible_mask[:k_ran],
+                lambdas=state.lambda_history[:k_ran],
+                energies=state.energies[:k_ran],
             )
         return SaimResult(
-            best_x=best_x,
-            best_cost=float(best_cost),
-            feasible_records=feasible_records,
-            penalty=penalty,
-            final_lambdas=lambdas,
+            best_x=state.best_x,
+            best_cost=float(state.best_cost),
+            feasible_records=state.feasible_records,
+            penalty=state.penalty,
+            final_lambdas=state.lambdas,
             num_iterations=k_ran,
             mcs_per_run=config.mcs_per_run,
             trace=trace,
-            num_replicas=replicas,
-            total_mcs=k_ran * replicas * config.mcs_per_run,
+            num_replicas=self.num_replicas,
+            total_mcs=k_ran * self.num_replicas * config.mcs_per_run,
         )

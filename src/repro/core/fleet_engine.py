@@ -1,16 +1,18 @@
 """Per-instance SAIM outer loops over one fused fleet anneal per iteration.
 
-:class:`FleetEngine` is :class:`repro.core.engine.SaimEngine` vectorized
-across problems: every outer iteration reprograms each active instance's
-Lagrangian fields into the shared :class:`repro.ising.fleet.FleetMachine`
-and runs ONE fused lock-step kernel call for the whole fleet, then performs
-the per-instance read-out, incumbent harvest and multiplier update exactly
-as the single-instance engine does.  Each instance keeps its own lambda
-trajectory, penalty, feasible records and convergence state; instances that
-hit their ``target_cost`` / ``patience`` early-exit are *masked out of the
-active set* — later iterations draw no noise, run no events and pay no
-matmuls for them (the fused kernel compacts the stacks to the active
-subset), so late stragglers don't pay for finished work.
+:class:`FleetEngine` is :class:`repro.core.engine.SaimEngine` driving ``B``
+problems through one machine: every outer iteration reprograms each active
+instance's Lagrangian fields into the shared
+:class:`repro.ising.fleet.FleetMachine` and runs ONE fused lock-step kernel
+call for the whole fleet, then hands each instance's batch to the engine's
+own per-instance read-out, incumbent harvest and multiplier update
+(``SaimEngine._advance``) — the loop body exists once.  Each instance
+keeps its own lambda trajectory, penalty, feasible records and convergence
+state; instances that hit their ``target_cost`` / ``patience`` early-exit
+are *masked out of the active set* — later iterations draw no noise, run
+no events and pay no matmuls for them (the fused kernel compacts the
+stacks to the active subset), so late stragglers don't pay for finished
+work.
 
 Equivalence contract
 --------------------
@@ -32,78 +34,38 @@ a changing active set, which the fused packer does not model.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.encoding import encode_with_slacks, normalize_problem
-from repro.core.engine import AGGREGATES
-from repro.core.lagrangian import LagrangianIsing
-from repro.core.penalty import density_heuristic_penalty
-from repro.core.results import FeasibleRecord, SolveTrace
-from repro.core.saim import _ETA_DECAYS, _SCHEDULES, SaimConfig, SaimResult
+from repro.core.encoding import encode_with_slacks
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.ising.fleet import FleetMachine
 from repro.utils.rng import spawn_rngs
 
 __all__ = ["FleetEngine"]
 
 
-class _InstanceState:
-    """Mutable per-instance solver state threaded through the fused loop."""
-
-    def __init__(self, index, encoded, lagrangian, penalty, num_iterations,
-                 initial_lambdas):
-        self.index = index
-        self.encoded = encoded
-        self.source = encoded.source
-        self.lagrangian = lagrangian
-        self.penalty = penalty
-        num_multipliers = lagrangian.num_multipliers
-        if initial_lambdas is None:
-            self.lambdas = np.zeros(num_multipliers)
-        else:
-            self.lambdas = np.asarray(initial_lambdas, dtype=float).copy()
-            if self.lambdas.shape != (num_multipliers,):
-                raise ValueError(
-                    f"instance {index}: initial_lambdas must have shape "
-                    f"({num_multipliers},), got {self.lambdas.shape}"
-                )
-        self.fields_buf = np.empty(lagrangian.num_spins)
-        self.sample_costs = np.empty(num_iterations)
-        self.feasible_mask = np.zeros(num_iterations, dtype=bool)
-        self.lambda_history = np.empty((num_iterations, num_multipliers))
-        self.energies = np.empty(num_iterations)
-        self.best_x = None
-        self.best_cost = np.inf
-        self.feasible_records = []
-        self.stall = 0
-        self.k_ran = 0
-
-
-class FleetEngine:
+class FleetEngine(SaimEngine):
     """Algorithm 1 over ``B`` problems, one fused kernel call per iteration.
 
     Parameters mirror :class:`~repro.core.engine.SaimEngine` where they
     apply; the backend is the fused p-bit fleet machine (there is no
     ``machine_factory`` — other backends go through ``solve_many``'s
-    process strategy instead).
+    process strategy instead).  The inherited ``solve`` runs one problem
+    on the standalone p-bit machine, which is what each fleet instance
+    reproduces.
     """
 
     def __init__(self, config: SaimConfig | None = None, num_replicas: int = 1,
                  aggregate: str = "best", restart: str = "random"):
-        if num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        if aggregate not in AGGREGATES:
-            raise ValueError(
-                f"aggregate must be one of {AGGREGATES}, got {aggregate!r}"
-            )
+        super().__init__(
+            config, num_replicas=num_replicas, aggregate=aggregate,
+            restart=restart,
+        )
         if restart != "random":
             raise ValueError(
                 "the fused fleet path supports restart='random' only "
                 f"(got {restart!r}); use solve_many(strategy='process') "
                 "for warm restarts"
             )
-        self.config = config if config is not None else SaimConfig()
-        self.num_replicas = num_replicas
-        self.aggregate = aggregate
 
     def solve_fleet(self, problems, rng=None, initial_lambdas=None):
         """Solve every problem; returns one ``SaimResult`` per instance.
@@ -126,171 +88,47 @@ class FleetEngine:
         problems = list(problems)
         if not problems:
             return []
-        config = self.config
-        replicas = self.num_replicas
         if isinstance(rng, (list, tuple)):
-            rngs = list(rng)
-            if len(rngs) != len(problems):
-                raise ValueError(
-                    f"need one rng per instance: got {len(rngs)} "
-                    f"for {len(problems)} problems"
-                )
+            rngs = _one_each(rng, "rng", len(problems))
         else:
             rngs = spawn_rngs(rng, len(problems))
         if initial_lambdas is None:
             initial_lambdas = [None] * len(problems)
-        else:
-            initial_lambdas = list(initial_lambdas)
-            if len(initial_lambdas) != len(problems):
-                raise ValueError(
-                    f"need one initial_lambdas entry per instance: got "
-                    f"{len(initial_lambdas)} for {len(problems)} problems"
-                )
+        initial_lambdas = _one_each(
+            initial_lambdas, "initial_lambdas entry", len(problems)
+        )
 
-        states = []
-        for b, problem in enumerate(problems):
-            encoded = encode_with_slacks(problem)
-            normalized, _scales = normalize_problem(encoded.problem)
-            if config.penalty is not None:
-                penalty = float(config.penalty)
-            else:
-                penalty = density_heuristic_penalty(
-                    normalized, alpha=config.alpha
-                )
-            states.append(
-                _InstanceState(
-                    b, encoded, LagrangianIsing(normalized, penalty), penalty,
-                    config.num_iterations, initial_lambdas[b],
-                )
-            )
-
+        states = [
+            self._instance(encode_with_slacks(problem), start)
+            for problem, start in zip(problems, initial_lambdas)
+        ]
         machine = FleetMachine(
             [state.lagrangian.base_ising for state in states],
-            rng=rngs, dtype=config.dtype,
+            rng=rngs, dtype=self.config.dtype,
         )
-        schedule_fn = _SCHEDULES[config.schedule]
-        if config.schedule == "linear":
-            schedule = schedule_fn(
-                config.beta_max, config.mcs_per_run, beta_min=0.0
-            )
-        else:
-            schedule = schedule_fn(config.beta_max, config.mcs_per_run)
-
+        schedule = self._schedule()
         active = list(range(len(states)))
-        for k in range(config.num_iterations):
+        for k in range(self.config.num_iterations):
             if not active:
                 break
             for b in active:
-                state = states[b]
-                state.lambda_history[k] = state.lambdas
-                machine.set_fields(
-                    b,
-                    *state.lagrangian.program_for(
-                        state.lambdas, out=state.fields_buf
-                    ),
-                )
+                machine.set_fields(b, *states[b].program(k))
             fleet_result = machine.anneal_fleet(
-                schedule, replicas, active=active,
-                track_best=config.read_best,
+                schedule, self.num_replicas, active=active,
+                track_best=self.config.read_best,
             )
             active = [
                 b for b in active
                 if self._advance(states[b], fleet_result.instance(b), k)
             ]
-
         return [self._finish(state) for state in states]
 
-    def _advance(self, state, batch, k) -> bool:
-        """One instance's read-out + multiplier update; True to stay active.
 
-        This is the per-iteration body of ``SaimEngine.solve_encoded``,
-        verbatim, acting on one instance's state.
-        """
-        config = self.config
-        replicas = self.num_replicas
-        source = state.source
-        lagrangian = state.lagrangian
-        if config.read_best:
-            samples = batch.best_samples
-            readout_energies = batch.best_energies
-        else:
-            samples = batch.last_samples
-            readout_energies = batch.last_energies
-        xs_ext = ((np.asarray(samples) + 1) / 2).astype(np.int8)
-
-        improved = False
-        restricted = [state.encoded.restrict(xs_ext[r]) for r in range(replicas)]
-        feasible = [source.is_feasible(x) for x in restricted]
-        for r in range(replicas):
-            if not feasible[r]:
-                continue
-            cost = source.objective(restricted[r])
-            if cost < state.best_cost:
-                state.best_cost = cost
-                state.best_x = restricted[r]
-                improved = True
-
-        lead = int(np.argmin(readout_energies)) if replicas > 1 else 0
-        if self.aggregate == "mean" and replicas > 1:
-            lead = 0
-        x_lead = restricted[lead]
-        cost_lead = source.objective(x_lead)
-        state.sample_costs[k] = cost_lead
-        state.energies[k] = readout_energies[lead]
-        if feasible[lead]:
-            state.feasible_mask[k] = True
-            state.feasible_records.append(
-                FeasibleRecord(iteration=k, x=x_lead, cost=cost_lead)
-            )
-
-        if self.aggregate == "mean" and replicas > 1:
-            residual = np.mean(
-                [lagrangian.residuals(xs_ext[r]) for r in range(replicas)],
-                axis=0,
-            )
-        else:
-            residual = lagrangian.residuals(xs_ext[lead])
-
-        step = config.eta * _ETA_DECAYS[config.eta_decay](k)
-        direction = residual
-        if config.normalize_step:
-            norm = float(np.linalg.norm(residual))
-            if norm > 1e-12:
-                direction = residual / norm
-        state.lambdas = state.lambdas + step * direction
-        state.k_ran = k + 1
-
-        if (
-            config.target_cost is not None
-            and state.best_x is not None
-            and state.best_cost <= config.target_cost + 1e-12
-        ):
-            return False
-        if config.patience is not None and state.best_x is not None:
-            state.stall = 0 if improved else state.stall + 1
-            if state.stall >= config.patience:
-                return False
-        return True
-
-    def _finish(self, state) -> SaimResult:
-        config = self.config
-        trace = None
-        if config.record_trace:
-            trace = SolveTrace(
-                sample_costs=state.sample_costs[:state.k_ran],
-                feasible=state.feasible_mask[:state.k_ran],
-                lambdas=state.lambda_history[:state.k_ran],
-                energies=state.energies[:state.k_ran],
-            )
-        return SaimResult(
-            best_x=state.best_x,
-            best_cost=float(state.best_cost),
-            feasible_records=state.feasible_records,
-            penalty=state.penalty,
-            final_lambdas=state.lambdas,
-            num_iterations=state.k_ran,
-            mcs_per_run=config.mcs_per_run,
-            trace=trace,
-            num_replicas=self.num_replicas,
-            total_mcs=state.k_ran * self.num_replicas * config.mcs_per_run,
+def _one_each(values, what: str, count: int) -> list:
+    values = list(values)
+    if len(values) != count:
+        raise ValueError(
+            f"need one {what} per instance: got {len(values)} for {count} "
+            f"problems"
         )
+    return values

@@ -136,16 +136,16 @@ def penalty_method_solve(
     qubo = build_penalty_qubo(normalized, penalty)
     machine = PBitMachine(qubo.to_ising(), rng=ensure_rng(rng))
     schedule = linear_beta_schedule(beta_max, mcs_per_run)
-    runs = machine.anneal_batch(schedule, num_runs)
+    batch = machine.anneal_many(schedule, num_runs)
+    samples = batch.best_samples if read_best else batch.last_samples
 
     source = encoded.source
     best_x = None
     best_cost = np.inf
     costs = []
     feasible = 0
-    for run in runs:
-        sample = run.best_sample if read_best else run.last_sample
-        x_ext = ((np.asarray(sample) + 1) / 2).astype(np.int8)
+    for sample in samples:
+        x_ext = ((sample + 1) / 2).astype(np.int8)
         x = encoded.restrict(x_ext)
         if source.is_feasible(x):
             feasible += 1

@@ -20,14 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.encoding import EncodedProblem
-from repro.core.problem import ConstrainedProblem
 from repro.core.results import SolveTrace
 from repro.core.schedule import (
     geometric_beta_schedule,
     linear_beta_schedule,
 )
-from repro.ising.pbit import PBitMachine
 
 _SCHEDULES = {
     "linear": linear_beta_schedule,
@@ -249,57 +246,3 @@ class SaimResult:
             return float("nan")
         return float(np.mean([record.cost for record in self.feasible_records]))
 
-
-class SelfAdaptiveIsingMachine:
-    """Driver object binding a :class:`SaimConfig` to an Ising machine.
-
-    Usage::
-
-        saim = SelfAdaptiveIsingMachine(SaimConfig.qkp_paper())
-        result = saim.solve(problem, rng=0)
-
-    ``problem`` may contain inequalities — they are slack-encoded and
-    normalized internally, and all reported solutions/costs refer back to
-    the original problem.
-
-    The paper stresses SAIM "is compatible with any programmable IM";
-    ``machine_factory`` realizes that: any callable
-    ``factory(model, rng) -> machine`` whose machine exposes
-    ``set_fields(fields, offset)`` and ``anneal``/``anneal_many`` can drive
-    Algorithm 1.  The default is the p-bit machine of Section III-B;
-    :class:`repro.ising.sa.MetropolisMachine` and
-    :class:`repro.ising.quantization.QuantizedPBitMachine` are drop-ins.
-
-    This class is a compatibility shim over the unified
-    :class:`repro.core.engine.SaimEngine` at ``num_replicas=1`` — the
-    engine's serial path reproduces the historical solver bit-for-bit.
-    """
-
-    def __init__(self, config: SaimConfig | None = None, machine_factory=None):
-        self.config = config if config is not None else SaimConfig()
-        self.machine_factory = (
-            machine_factory if machine_factory is not None else PBitMachine
-        )
-
-    def _engine(self):
-        from repro.core.engine import SaimEngine
-
-        return SaimEngine(
-            self.config, num_replicas=1, machine_factory=self.machine_factory
-        )
-
-    def solve(self, problem: ConstrainedProblem, rng=None,
-              initial_lambdas=None) -> SaimResult:
-        """Run Algorithm 1 on ``problem`` and return the best feasible find.
-
-        ``initial_lambdas`` warm-starts the multipliers (e.g. from a prior
-        solve of a perturbed instance); the paper always starts from zero.
-        """
-        return self._engine().solve(problem, rng=rng, initial_lambdas=initial_lambdas)
-
-    def solve_encoded(self, encoded: EncodedProblem, rng=None,
-                      initial_lambdas=None) -> SaimResult:
-        """Run Algorithm 1 on an already slack-encoded problem."""
-        return self._engine().solve_encoded(
-            encoded, rng=rng, initial_lambdas=initial_lambdas
-        )

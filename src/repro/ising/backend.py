@@ -154,16 +154,6 @@ class BatchAnnealResult:
             energy_trace=trace,
         )
 
-    def as_list(self) -> list[AnnealResult]:
-        """All replicas as per-run results (legacy ``anneal_batch`` shape)."""
-        return [self.per_run(r) for r in range(self.num_replicas)]
-
-    def __len__(self) -> int:
-        return self.num_replicas
-
-    def __iter__(self):
-        return iter(self.as_list())
-
 
 @runtime_checkable
 class AnnealingBackend(Protocol):

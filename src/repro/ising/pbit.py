@@ -96,6 +96,9 @@ class PBitMachine:
     """
 
     KERNELS = ("lockstep", "serial")
+    # The registry name engine error messages use for this machine (the
+    # default backend, driven directly or through the fused fleet).
+    backend_name = "pbit"
 
     def __init__(self, model: IsingModel, rng=None, dtype=None,
                  kernel: str = "lockstep"):
@@ -262,10 +265,6 @@ class PBitMachine:
         return self.anneal_many(
             beta_schedule, 1, initial=initial, record_energy=record_energy
         ).per_run(0)
-
-    def anneal_batch(self, beta_schedule, num_runs: int, initial=None) -> list[AnnealResult]:
-        """Legacy list-shaped view of :meth:`anneal_many` (kept for compat)."""
-        return self.anneal_many(beta_schedule, num_runs, initial=initial).as_list()
 
     def _anneal_serial(
         self, betas: np.ndarray, spins: np.ndarray, record_energy: bool

@@ -41,7 +41,7 @@ class MetropolisMachine:
     :class:`repro.ising.backend.AnnealingBackend` protocol as
     :class:`repro.ising.pbit.PBitMachine` but runs single-flip Metropolis
     instead of Gibbs sampling.  Pass it to
-    ``SelfAdaptiveIsingMachine(config, machine_factory=MetropolisMachine)``
+    ``SaimEngine(config, machine_factory=MetropolisMachine)``
     or select it as ``repro.solve(..., backend="metropolis")``.
 
     The serial path uses random-scan sweeps (one spin permutation per

@@ -2,15 +2,15 @@
 
 The load-bearing guarantee: ``SaimEngine`` with ``num_replicas=1``
 reproduces the pre-engine serial solver bit-for-bit (the golden values below
-were captured from the legacy ``SelfAdaptiveIsingMachine`` loop before the
-refactor), and every config feature works identically at any replica count.
+were captured from the legacy serial solver loop before the refactor), and every config feature works identically at any replica count.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.engine import SaimEngine
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.fleet_engine import FleetEngine
+from repro.core.saim import SaimConfig
 from repro.ising.pt_machine import PTMachine
 from repro.problems.generators import generate_qkp
 from tests.helpers import tiny_knapsack_problem
@@ -35,12 +35,21 @@ class TestEngineValidation:
         assert engine.config.num_iterations == SaimConfig().num_iterations
         assert engine.num_replicas == 1
 
+    def test_pubo_rejected_naming_backend(self):
+        from repro.problems.max3sat import generate_max3sat
+
+        problem = generate_max3sat(6, 12, rng=0).to_problem()
+        with pytest.raises(
+            ValueError, match="'pbit' backend only handles quadratic models"
+        ):
+            SaimEngine(TINY).solve(problem, rng=0)
+
 
 class TestSerialGoldenParity:
     """Pinned against the legacy serial solver on a fixed seed.
 
     The cost/lambda/feasibility values were produced by the pre-engine
-    ``SelfAdaptiveIsingMachine`` loop on this instance/seed, and the
+    serial solver loop on this instance/seed, and the
     engine's ``num_replicas=1`` path — now the prepared-program lock-step
     kernel — must keep reproducing them bit-for-bit (same noise stream,
     same Gibbs chain).  The *energy* pin is the one value allowed to move
@@ -78,15 +87,21 @@ class TestSerialGoldenParity:
         assert result.num_replicas == 1
         assert result.total_mcs == 20 * 80
 
-    def test_legacy_shim_matches_engine(self, result):
+    def test_fleet_engine_matches_golden(self, result):
+        """A one-instance fused fleet runs the same Algorithm 1 loop on
+        the same stream, so it reproduces the golden run bit-for-bit."""
         instance = generate_qkp(14, 0.5, rng=3)
-        shim = SelfAdaptiveIsingMachine(GOLDEN_CONFIG).solve(
-            instance.to_problem(), rng=7
+        (fleet,) = FleetEngine(GOLDEN_CONFIG).solve_fleet(
+            [instance.to_problem()], rng=[np.random.default_rng(7)]
         )
-        assert shim.best_cost == result.best_cost
-        np.testing.assert_array_equal(shim.final_lambdas, result.final_lambdas)
+        assert fleet.best_cost == result.best_cost
+        np.testing.assert_array_equal(fleet.best_x, result.best_x)
+        np.testing.assert_array_equal(fleet.final_lambdas, result.final_lambdas)
         np.testing.assert_array_equal(
-            shim.trace.sample_costs, result.trace.sample_costs
+            fleet.trace.sample_costs, result.trace.sample_costs
+        )
+        np.testing.assert_array_equal(
+            fleet.trace.feasible, result.trace.feasible
         )
 
 

@@ -167,6 +167,16 @@ class TestFleetEngineValidation:
         with pytest.raises(ValueError, match="shape"):
             engine.solve_fleet([problem], initial_lambdas=[np.zeros(9)])
 
+    def test_pubo_instance_rejected_naming_backend(self):
+        from repro.problems.max3sat import generate_max3sat
+
+        engine = FleetEngine(small_config(num_iterations=2))
+        problem = generate_max3sat(6, 12, rng=0).to_problem()
+        with pytest.raises(
+            ValueError, match="'pbit' backend only handles quadratic models"
+        ):
+            engine.solve_fleet([problem], rng=0)
+
 
 class TestSolveFleetApi:
     def test_non_pbit_backend_rejected(self):

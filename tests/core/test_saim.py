@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.problems.generators import generate_qkp
 from repro.baselines.exact_qkp import exact_qkp_bruteforce
 from tests.helpers import tiny_constrained_problem, tiny_knapsack_problem
@@ -61,7 +62,7 @@ class TestSaimConfig:
 
 class TestSaimSolve:
     def test_solves_tiny_equality_problem(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(
+        result = SaimEngine(FAST).solve(
             tiny_constrained_problem(), rng=0
         )
         assert result.found_feasible
@@ -69,13 +70,13 @@ class TestSaimSolve:
         np.testing.assert_array_equal(result.best_x, [0, 1, 1])
 
     def test_solves_tiny_knapsack(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=0)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=0)
         assert result.found_feasible
         assert result.best_cost == pytest.approx(-8.0)
 
     def test_best_x_is_feasible(self):
         problem = generate_qkp(15, 0.5, rng=2).to_problem()
-        result = SelfAdaptiveIsingMachine(FAST).solve(problem, rng=1)
+        result = SaimEngine(FAST).solve(problem, rng=1)
         if result.found_feasible:
             assert problem.is_feasible(result.best_x)
             assert problem.objective(result.best_x) == pytest.approx(result.best_cost)
@@ -86,14 +87,14 @@ class TestSaimSolve:
         # Paper eta=20 is tuned for N in [100, 300]; on a 14-item instance
         # the sqrt-decayed step damps the multiplier oscillation.
         config = SaimConfig(num_iterations=150, mcs_per_run=300, eta_decay="sqrt")
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=3)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=3)
         assert result.found_feasible
         assert -result.best_cost >= 0.97 * opt_profit
 
     def test_eta_decay_options_run(self):
         for decay in ("constant", "sqrt", "harmonic"):
             config = SaimConfig(num_iterations=8, mcs_per_run=40, eta_decay=decay)
-            result = SelfAdaptiveIsingMachine(config).solve(
+            result = SaimEngine(config).solve(
                 tiny_knapsack_problem(), rng=0
             )
             assert result.num_iterations == 8
@@ -103,47 +104,47 @@ class TestSaimSolve:
             SaimConfig(eta_decay="exponential")
 
     def test_feasible_records_sorted_by_iteration(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=2)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=2)
         iterations = [record.iteration for record in result.feasible_records]
         assert iterations == sorted(iterations)
         assert result.num_feasible == len(iterations)
 
     def test_feasible_ratio_definition(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=3)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=3)
         assert result.feasible_ratio == pytest.approx(
             result.num_feasible / FAST.num_iterations
         )
 
     def test_total_mcs(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=0)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=0)
         assert result.total_mcs == 30 * 120
 
     def test_average_feasible_cost(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=0)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=0)
         costs = [record.cost for record in result.feasible_records]
         assert result.average_feasible_cost() == pytest.approx(np.mean(costs))
 
     def test_deterministic_given_seed(self):
-        a = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=11)
-        b = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=11)
+        a = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=11)
+        b = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=11)
         assert a.best_cost == b.best_cost
         np.testing.assert_array_equal(a.final_lambdas, b.final_lambdas)
 
     def test_explicit_penalty_override(self):
         config = SaimConfig(num_iterations=10, mcs_per_run=50, penalty=7.0)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=0
         )
         assert result.penalty == 7.0
 
     def test_default_config(self):
-        machine = SelfAdaptiveIsingMachine()
+        machine = SaimEngine()
         assert machine.config.num_iterations == 2000
 
 
 class TestSaimTrace:
     def test_trace_shapes(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=0)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=0)
         trace = result.trace
         assert trace.sample_costs.shape == (30,)
         assert trace.feasible.shape == (30,)
@@ -151,14 +152,14 @@ class TestSaimTrace:
         assert trace.energies.shape == (30,)
 
     def test_trace_lambda_starts_at_zero(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=0)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=0)
         np.testing.assert_array_equal(result.trace.lambdas[0], [0.0])
 
     def test_lambda_update_rule(self):
         """lambda_{k+1} - lambda_k = eta * g(x_k) must hold along the trace."""
         problem = tiny_constrained_problem()
         config = SaimConfig(num_iterations=15, mcs_per_run=60, eta=0.5)
-        result = SelfAdaptiveIsingMachine(config).solve(problem, rng=4)
+        result = SaimEngine(config).solve(problem, rng=4)
         lambdas = result.trace.lambdas
         steps = np.diff(lambdas[:, 0])
         # Each step is eta * residual; residuals of the equality x0+x1+x2=2
@@ -168,19 +169,19 @@ class TestSaimTrace:
 
     def test_trace_disabled(self):
         config = SaimConfig(num_iterations=5, mcs_per_run=30, record_trace=False)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=0
         )
         assert result.trace is None
 
     def test_trace_feasible_matches_records(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=5)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=5)
         record_iterations = {record.iteration for record in result.feasible_records}
         trace_iterations = set(np.nonzero(result.trace.feasible)[0])
         assert record_iterations == trace_iterations
 
     def test_first_feasible_iteration(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(tiny_knapsack_problem(), rng=6)
+        result = SaimEngine(FAST).solve(tiny_knapsack_problem(), rng=6)
         first = result.trace.first_feasible_iteration()
         if result.found_feasible:
             assert first == result.feasible_records[0].iteration

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.problems.generators import generate_qkp
 from tests.helpers import tiny_knapsack_problem
 
@@ -12,14 +13,14 @@ FAST = SaimConfig(num_iterations=40, mcs_per_run=120)
 
 class TestWarmStart:
     def test_initial_lambdas_respected(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(
+        result = SaimEngine(FAST).solve(
             tiny_knapsack_problem(), rng=0, initial_lambdas=np.array([2.5])
         )
         np.testing.assert_array_equal(result.trace.lambdas[0], [2.5])
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="initial_lambdas"):
-            SelfAdaptiveIsingMachine(FAST).solve(
+            SaimEngine(FAST).solve(
                 tiny_knapsack_problem(), rng=0, initial_lambdas=np.zeros(3)
             )
 
@@ -28,14 +29,14 @@ class TestWarmStart:
         immediately (no transient)."""
         instance = generate_qkp(20, 0.5, rng=42)
         config = SaimConfig(num_iterations=80, mcs_per_run=200)
-        cold = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=0)
+        cold = SaimEngine(config).solve(instance.to_problem(), rng=0)
         assert cold.found_feasible
 
         short = SaimConfig(num_iterations=15, mcs_per_run=200)
-        warm = SelfAdaptiveIsingMachine(short).solve(
+        warm = SaimEngine(short).solve(
             instance.to_problem(), rng=1, initial_lambdas=cold.final_lambdas
         )
-        cold_short = SelfAdaptiveIsingMachine(short).solve(
+        cold_short = SaimEngine(short).solve(
             instance.to_problem(), rng=1
         )
         # Warm start yields at least as many feasible samples in the short
@@ -47,7 +48,7 @@ class TestEarlyStopping:
     def test_target_cost_stops_early(self):
         config = SaimConfig(num_iterations=200, mcs_per_run=100,
                             target_cost=-8.0)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=0
         )
         assert result.found_feasible
@@ -57,7 +58,7 @@ class TestEarlyStopping:
     def test_trace_truncated_to_actual_iterations(self):
         config = SaimConfig(num_iterations=200, mcs_per_run=100,
                             target_cost=-8.0)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=0
         )
         assert result.trace.sample_costs.shape == (result.num_iterations,)
@@ -65,7 +66,7 @@ class TestEarlyStopping:
 
     def test_patience_stops_after_stall(self):
         config = SaimConfig(num_iterations=300, mcs_per_run=80, patience=10)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=1
         )
         # The 3-variable problem is solved almost immediately, so patience
@@ -78,13 +79,13 @@ class TestEarlyStopping:
         # the run must not stop during the transient.
         config = SaimConfig(num_iterations=60, mcs_per_run=150, patience=1)
         instance = generate_qkp(20, 0.5, rng=42)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=0)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=0)
         first = result.trace.first_feasible_iteration()
         if first is not None:
             assert result.num_iterations >= first + 1
 
     def test_disabled_by_default(self):
-        result = SelfAdaptiveIsingMachine(FAST).solve(
+        result = SaimEngine(FAST).solve(
             tiny_knapsack_problem(), rng=0
         )
         assert result.num_iterations == FAST.num_iterations
@@ -96,7 +97,7 @@ class TestEarlyStopping:
     def test_total_mcs_reflects_actual_iterations(self):
         config = SaimConfig(num_iterations=200, mcs_per_run=100,
                             target_cost=-8.0)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=0
         )
         assert result.total_mcs == result.num_iterations * 100

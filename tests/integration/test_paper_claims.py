@@ -11,7 +11,8 @@ import pytest
 from repro.core.encoding import encode_with_slacks, normalize_problem
 from repro.core.lagrangian import LagrangianIsing
 from repro.core.penalty import build_penalty_qubo, density_heuristic_penalty
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.ising.exhaustive import brute_force_ground_state
 from repro.problems.generators import generate_mkp, generate_qkp
 from tests.helpers import tiny_constrained_problem
@@ -76,7 +77,7 @@ class TestFig3SaimDynamics:
     def test_transient_then_feasible(self):
         instance = generate_qkp(20, 0.5, rng=42)
         config = SaimConfig(num_iterations=80, mcs_per_run=200)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=0)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=0)
         trace = result.trace
         assert result.found_feasible
         # Feasible samples concentrate after the transient: the second half
@@ -89,7 +90,7 @@ class TestFig3SaimDynamics:
     def test_lambda_moves_from_zero(self):
         instance = generate_qkp(20, 0.5, rng=43)
         config = SaimConfig(num_iterations=40, mcs_per_run=150)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=0)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=0)
         assert np.any(result.trace.lambdas[-1] != 0)
 
 
@@ -111,7 +112,7 @@ class TestTable2Narrative:
             penalty = penalty_method_solve(
                 encoded, small_p, num_runs=40, mcs_per_run=150, rng=seed
             )
-            saim = SelfAdaptiveIsingMachine(
+            saim = SaimEngine(
                 SaimConfig(num_iterations=40, mcs_per_run=150)
             ).solve(problem, rng=seed)
 
@@ -129,7 +130,7 @@ class TestFig5MkpDynamics:
     def test_multipliers_rise_then_feasible(self):
         instance = generate_mkp(20, 5, rng=7)
         config = SaimConfig.mkp_paper(num_iterations=100, mcs_per_run=150)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=1)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=1)
         lambdas = result.trace.lambdas
         # Multipliers start at zero and must have grown (violated knapsacks
         # push lambda up since A x - b >= 0 initially when everything is
@@ -145,7 +146,7 @@ class TestMcsAccounting:
     def test_total_mcs_is_runs_times_sweeps(self):
         instance = generate_qkp(15, 0.5, rng=8)
         config = SaimConfig(num_iterations=25, mcs_per_run=80)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=0)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=0)
         assert result.total_mcs == 25 * 80
 
     def test_paper_budget_reference(self):

@@ -261,15 +261,15 @@ class TestSolveFrontDoor:
         assert report.total_mcs == 15 * 4 * 100
         assert report.num_iterations == 15
 
-    def test_matches_legacy_shim_bit_for_bit(self):
-        from repro.core.saim import SelfAdaptiveIsingMachine
+    def test_matches_engine_bit_for_bit(self):
+        from repro.core.engine import SaimEngine
 
         instance = generate_qkp(14, 0.5, rng=3)
         config = SaimConfig(**FAST)
         front = repro.solve(instance, config=config, rng=7)
-        shim = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=7)
-        assert front.best_cost == shim.best_cost
-        np.testing.assert_array_equal(front.final_lambdas, shim.final_lambdas)
+        engine = SaimEngine(config).solve(instance.to_problem(), rng=7)
+        assert front.best_cost == engine.best_cost
+        np.testing.assert_array_equal(front.final_lambdas, engine.final_lambdas)
 
     @pytest.mark.parametrize("backend", ["pbit", "metropolis", "quantized",
                                          "chromatic"])
@@ -298,36 +298,39 @@ class TestSolveFrontDoor:
         )
         assert isinstance(report.detail, SaimResult)
 
-    def test_pt_num_replicas_alias_warns(self):
-        """The old builder knob collided with the engine-level replica
-        argument; it must still work but warn."""
-        with pytest.warns(DeprecationWarning, match="num_chains"):
-            report = repro.solve(
+    def test_pt_default_is_eight_chains(self):
+        options = dict(rng=0, num_iterations=5, mcs_per_run=40, eta=5.0,
+                       eta_decay="sqrt", normalize_step=True)
+        default = repro.solve(tiny_knapsack_problem(), backend="pt", **options)
+        eight = repro.solve(
+            tiny_knapsack_problem(), backend="pt",
+            backend_options={"num_chains": 8}, **options,
+        )
+        assert default.best_cost == eight.best_cost
+        np.testing.assert_array_equal(
+            default.detail.trace.sample_costs, eight.detail.trace.sample_costs
+        )
+        np.testing.assert_array_equal(
+            default.detail.final_lambdas, eight.detail.final_lambdas
+        )
+
+    def test_pt_rejects_zero_chains(self):
+        with pytest.raises(ValueError, match="num_chains must be >= 1"):
+            repro.solve(
+                tiny_knapsack_problem(), backend="pt",
+                backend_options={"num_chains": 0},
+                num_iterations=5, mcs_per_run=20,
+            )
+
+    def test_pt_old_num_replicas_spelling_rejected(self):
+        """The builder's chain count is spelled num_chains only; the old
+        num_replicas spelling collided with the engine-level replicas."""
+        with pytest.raises(TypeError, match="num_replicas"):
+            repro.solve(
                 tiny_knapsack_problem(), backend="pt",
                 backend_options={"num_replicas": 4}, rng=0,
-                num_iterations=8, mcs_per_run=60, eta=5.0,
-                eta_decay="sqrt", normalize_step=True,
+                num_iterations=5, mcs_per_run=20,
             )
-        assert isinstance(report.detail, SaimResult)
-
-    def test_pt_conflicting_chain_counts_rejected(self):
-        with pytest.raises(ValueError, match="conflicting pt chain counts"):
-            with pytest.warns(DeprecationWarning):
-                repro.solve(
-                    tiny_knapsack_problem(), backend="pt",
-                    backend_options={"num_chains": 4, "num_replicas": 2},
-                    num_iterations=5, mcs_per_run=20,
-                )
-
-    def test_pt_alias_agreeing_values_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            report = repro.solve(
-                tiny_knapsack_problem(), backend="pt",
-                backend_options={"num_chains": 3, "num_replicas": 3}, rng=0,
-                num_iterations=5, mcs_per_run=40, eta=5.0,
-                eta_decay="sqrt", normalize_step=True,
-            )
-        assert isinstance(report, SolveReport)
 
     def test_penalty_method(self):
         report = repro.solve(

@@ -147,12 +147,12 @@ class TestBatchResultContract:
         assert np.all(np.isfinite(batch.last_energies))
         np.testing.assert_array_equal(np.abs(batch.last_samples), 1.0)
 
-    def test_per_run_views_and_iteration(self):
+    def test_per_run_views(self):
         machine = _machine("pbit")
         batch = machine.anneal_many(SCHEDULE, 3)
-        runs = list(batch)
-        assert len(batch) == 3 and len(runs) == 3
-        for r, run in enumerate(runs):
+        assert batch.num_replicas == 3
+        for r in range(batch.num_replicas):
+            run = batch.per_run(r)
             np.testing.assert_array_equal(run.last_sample, batch.last_samples[r])
             assert run.last_energy == batch.last_energies[r]
             assert run.num_sweeps == batch.num_sweeps

@@ -101,9 +101,10 @@ class TestBatch:
     def test_batch_shape_and_consistency(self):
         model = random_ising(8, rng=9)
         machine = PBitMachine(model, rng=0)
-        runs = machine.anneal_batch(linear_beta_schedule(4.0, 50), num_runs=7)
-        assert len(runs) == 7
-        for run in runs:
+        batch = machine.anneal_many(linear_beta_schedule(4.0, 50), 7)
+        assert batch.num_replicas == 7
+        for r in range(7):
+            run = batch.per_run(r)
             assert run.last_energy == pytest.approx(
                 model.energy(run.last_sample), abs=1e-6
             )
@@ -112,21 +113,21 @@ class TestBatch:
     def test_batch_rejects_bad_args(self):
         machine = PBitMachine(random_ising(4, rng=0))
         with pytest.raises(ValueError):
-            machine.anneal_batch(np.ones(10), num_runs=0)
+            machine.anneal_many(np.ones(10), 0)
 
     def test_batch_finds_ground_state(self):
         model = random_ising(10, rng=10)
         _, ground = brute_force_ground_state(model)
         machine = PBitMachine(model, rng=1)
-        runs = machine.anneal_batch(linear_beta_schedule(8.0, 300), num_runs=10)
-        assert min(run.best_energy for run in runs) == pytest.approx(ground, abs=1e-9)
+        batch = machine.anneal_many(linear_beta_schedule(8.0, 300), 10)
+        assert batch.best_energies.min() == pytest.approx(ground, abs=1e-9)
 
     def test_batch_runs_are_distinct(self):
         # With beta = 0 every sweep is uniform-random; runs must differ.
         model = IsingModel(np.zeros((16, 16)), np.zeros(16))
         machine = PBitMachine(model, rng=2)
-        runs = machine.anneal_batch(constant_beta_schedule(1e-12, 3), num_runs=5)
-        samples = {run.last_sample.tobytes() for run in runs}
+        batch = machine.anneal_many(constant_beta_schedule(1e-12, 3), 5)
+        samples = {sample.tobytes() for sample in batch.last_samples}
         assert len(samples) > 1
 
 

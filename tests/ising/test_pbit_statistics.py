@@ -18,10 +18,9 @@ class TestBatchSequentialEquivalence:
             PBitMachine(model, rng=100 + trial).anneal(schedule).last_energy
             for trial in range(40)
         ]
-        batched = [
-            run.last_energy
-            for run in PBitMachine(model, rng=999).anneal_batch(schedule, 40)
-        ]
+        batched = PBitMachine(model, rng=999).anneal_many(
+            schedule, 40
+        ).last_energies
         seq_mean = np.mean(sequential)
         bat_mean = np.mean(batched)
         spread = np.std(sequential) + np.std(batched) + 1e-9
@@ -36,10 +35,9 @@ class TestBatchSequentialEquivalence:
             PBitMachine(model, rng=200 + t).anneal(schedule).last_sample
             for t in range(120)
         ])
-        batched_states = np.array([
-            run.last_sample
-            for run in PBitMachine(model, rng=7).anneal_batch(schedule, 120)
-        ])
+        batched_states = PBitMachine(model, rng=7).anneal_many(
+            schedule, 120
+        ).last_samples
         seq_mag = sequential_states.mean(axis=0)
         bat_mag = batched_states.mean(axis=0)
         np.testing.assert_allclose(seq_mag, bat_mag, atol=0.3)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.core.schedule import linear_beta_schedule
 from repro.ising.exhaustive import brute_force_ground_state
 from repro.ising.pt_machine import PTMachine
@@ -63,7 +64,7 @@ class TestSaimWithPT:
         def factory(model, rng):
             return PTMachine(model, rng=rng, num_replicas=6)
 
-        saim = SelfAdaptiveIsingMachine(config, machine_factory=factory)
+        saim = SaimEngine(config, machine_factory=factory)
         result = saim.solve(tiny_knapsack_problem(), rng=1)
         assert result.found_feasible
         assert result.best_cost == pytest.approx(-8.0)
@@ -74,7 +75,7 @@ class TestSaimWithPT:
         def factory(model, rng):
             return PTMachine(model, rng=rng, num_replicas=6, read_out="best")
 
-        result = SelfAdaptiveIsingMachine(config, machine_factory=factory).solve(
+        result = SaimEngine(config, machine_factory=factory).solve(
             tiny_knapsack_problem(), rng=1
         )
         assert result.found_feasible

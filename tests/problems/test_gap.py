@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.problems.gap import GapInstance, generate_gap, solve_gap_exact
 
 
@@ -112,7 +113,7 @@ class TestSaimOnGap:
             num_iterations=120, mcs_per_run=300,
             eta=5.0, eta_decay="sqrt", normalize_step=True, alpha=5.0,
         )
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             instance.to_problem(), rng=1
         )
         assert result.found_feasible
@@ -126,7 +127,7 @@ class TestSaimOnGap:
             num_iterations=60, mcs_per_run=150,
             eta=5.0, eta_decay="sqrt", normalize_step=True, alpha=5.0,
         )
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             instance.to_problem(), rng=2
         )
         # The one-hot equalities push lambda down when jobs are unassigned

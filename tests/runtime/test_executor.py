@@ -394,6 +394,30 @@ class TestFusedStrategy:
         with pytest.raises(ValueError, match="strategy"):
             solve_many(fast_jobs(), strategy="magic")
 
+    def test_pubo_batch_fails_alike_under_every_strategy(self):
+        """A Max-3-SAT (polynomial) batch is refused by the quadratic p-bit
+        backend with one error, whichever strategy runs the batch."""
+        from repro.problems.max3sat import generate_max3sat
+
+        problems = [generate_max3sat(6, 12, rng=index) for index in range(3)]
+        errors = set()
+        for strategy in ("fused", "auto", "process"):
+            report = solve_many(
+                fleet_jobs(problems, rng=0, config=FAST),
+                strategy=strategy, raise_on_error=False,
+            )
+            if strategy == "auto":
+                assert report.stats.strategy == "fused"
+            assert all(not outcome.ok for outcome in report.outcomes)
+            errors |= {
+                outcome.error.strip().splitlines()[-1]
+                for outcome in report.outcomes
+            }
+        assert len(errors) == 1
+        (error,) = errors
+        assert error.startswith("ValueError: problem has a polynomial")
+        assert "the 'pbit' backend only handles quadratic models" in error
+
 
 class TestAutoStrategy:
     def test_small_shareable_batch_fuses(self):
