@@ -100,12 +100,13 @@ from repro.problems import (
 
 __version__ = "2.7.0"
 
-# The sweep drivers live under repro.analysis, whose package import pulls in
-# the whole experiment harness; resolve them lazily so `import repro` (and
-# every executor worker process) stays light.  The service layer is lazy
-# for the same reason: solver workers must not drag the HTTP stack in.
-# The planner rides the same pattern: method="auto" already resolves it
-# lazily inside the front door.
+# `import repro` is paid by every one-shot solve, executor worker and
+# `repro serve` start, so it loads numpy and the solve path only.  The
+# sweep drivers (repro.analysis pulls in the whole experiment harness),
+# the service layer (solver workers must not drag the HTTP stack in) and
+# the planner (only method="auto" / strategy="auto" consult it) resolve
+# on first use below; repro.ising does the same for the scipy/networkx
+# sparse substrate.  tests/integration/test_import_closure.py pins it.
 _SWEEP_EXPORTS = ("ParameterSweep", "BackendSweep", "BackendSweepReport",
                   "sweep_backends")
 _SERVICE_EXPORTS = ("SolverService", "ServicePool", "RequestLogger")

@@ -90,7 +90,7 @@ class ConstrainedProblem:
             raise ValueError(f"Q must be square, got shape {quad.shape}")
         if lin.ndim != 1 or lin.size != quad.shape[0]:
             raise ValueError(f"c must have length {quad.shape[0]}, got {lin.shape}")
-        if not np.allclose(quad, quad.T):
+        if not (np.array_equal(quad, quad.T) or np.allclose(quad, quad.T)):
             raise ValueError("Q must be symmetric")
         if np.any(np.diag(quad) != 0):
             raise ValueError("Q diagonal must be zero; use from_objective to fold it")

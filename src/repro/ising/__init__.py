@@ -37,12 +37,6 @@ from repro.ising.quantization import (
     quantize_ising,
     quantization_error,
 )
-from repro.ising.sparse import (
-    SparseIsingModel,
-    ChromaticPBitMachine,
-    greedy_coloring,
-    random_sparse_ising,
-)
 from repro.ising.fleet import FleetAnnealResult, FleetMachine, FleetProgram
 from repro.ising.pt_machine import PTMachine
 from repro.ising.qubo_io import write_qubo, read_qubo
@@ -51,6 +45,21 @@ from repro.ising.higher_order import (
     HigherOrderPBitMachine,
     enumerate_poly_energies,
 )
+
+# The sparse substrate imports scipy and networkx, which no dense solve
+# needs; resolve its names on first use so `import repro` stays light.
+_SPARSE_EXPORTS = ("SparseIsingModel", "ChromaticPBitMachine",
+                   "greedy_coloring", "random_sparse_ising")
+
+
+def __getattr__(name):
+    if name in _SPARSE_EXPORTS:
+        from repro.ising import sparse as _sparse
+
+        value = getattr(_sparse, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AnnealingBackend",

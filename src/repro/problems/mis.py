@@ -14,13 +14,16 @@ clique of the complement graph, solved by networkx for test sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.core.problem import ConstrainedProblem, LinearConstraints
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_binary_vector
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,10 @@ class MisInstance:
 
     def to_graph(self) -> nx.Graph:
         """The underlying networkx graph (with ``weight`` node attributes)."""
+        # networkx loads on first use: the codec registers MisInstance at
+        # `import repro`, and no SAIM solve needs the graph.
+        import networkx as nx
+
         graph = nx.Graph()
         for v in range(self.num_vertices):
             graph.add_node(v, weight=self.weights[v])
@@ -103,6 +110,8 @@ class MisInstance:
         weights are scaled (exactness preserved for the rational weights the
         generators produce).
         """
+        import networkx as nx
+
         scale = 1
         weights = self.weights
         if not np.allclose(weights, np.round(weights)):

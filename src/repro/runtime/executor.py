@@ -74,7 +74,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.planner.tunables import AUTO_FUSED_MIN_JOBS
 
 STRATEGIES = ("process", "fused", "auto")
 
@@ -372,6 +371,7 @@ def _resolve_strategy(jobs, strategy: str) -> str:
         return "fused"
     if strategy == "auto":
         from repro.planner.plan import plan_batch_strategy
+        from repro.planner.tunables import AUTO_FUSED_MIN_JOBS
 
         # The size-cap check is the expensive-free one, so the planner
         # only runs once the batch is known shareable; the fused cap is

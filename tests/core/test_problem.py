@@ -64,6 +64,16 @@ class TestConstrainedProblem:
         with pytest.raises(ValueError, match="symmetric"):
             ConstrainedProblem(quad, np.zeros(2))
 
+    def test_symmetry_tolerance_is_allclose_default(self):
+        # Exact symmetry and asymmetry within allclose's default tolerance
+        # pass; larger asymmetry and NaN fail.
+        for upper, lower in ((1.0, 1.0), (1.0, 1.0 + 1e-9)):
+            ConstrainedProblem(np.array([[0.0, upper], [lower, 0.0]]), np.zeros(2))
+        for upper, lower in ((1.0, 1.0 + 1e-3), (np.nan, np.nan)):
+            quad = np.array([[0.0, upper], [lower, 0.0]])
+            with pytest.raises(ValueError, match="symmetric"):
+                ConstrainedProblem(quad, np.zeros(2))
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             ConstrainedProblem(np.eye(2), np.zeros(2))

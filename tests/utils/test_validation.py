@@ -49,6 +49,19 @@ class TestSquareSymmetric:
         with pytest.raises(ValueError, match="symmetric"):
             check_square_symmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_accepts_asymmetry_within_atol(self):
+        m = np.array([[0.0, 0.0], [1e-10, 0.0]])
+        np.testing.assert_array_equal(check_square_symmetric(m), m)
+
+    def test_rejects_asymmetry_beyond_atol(self):
+        m = np.array([[0.0, 0.0], [1e-8, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            check_square_symmetric(m)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            check_square_symmetric(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
 
 class TestScalars:
     def test_positive_ok(self):
