@@ -804,7 +804,13 @@ def _export_qubo(args) -> int:
 
 
 def _serve(args) -> int:
-    """Run the solver service in the foreground until interrupted."""
+    """Run the solver service in the foreground until interrupted.
+
+    Ctrl-C and SIGTERM stop it the same way: the service closes, which
+    stops the HTTP loop and joins every worker, and the command exits 0.
+    """
+    import signal
+
     from repro.service import RequestLogger, ServicePool, SolverService
 
     if args.workers < 1:
@@ -820,17 +826,27 @@ def _serve(args) -> int:
     )
     service = SolverService(args.host, args.port, pool=pool)
     service.start()
+
+    def stop(signum, frame):
+        # Raised in the main thread, so serve_forever's cleanup runs; a
+        # repeated SIGTERM must not cut that cleanup short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    # Installed after start(), so forked workers keep the default action.
+    previous = signal.signal(signal.SIGTERM, stop)
     host, port = service.address
     print(f"repro solver service on http://{host}:{port} "
           f"({args.workers} {args.worker_mode} workers, queue depth "
           f"{args.queue_depth}); POST /v1/solve, GET /v1/health — "
-          f"Ctrl-C to stop")
+          f"Ctrl-C or SIGTERM to stop", flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
         print("interrupted; service stopped")
         return 0
     finally:
+        signal.signal(signal.SIGTERM, previous)
         logger.close()
     return 0
 

@@ -5,8 +5,10 @@ chains in lock-step over the same sweep/spin scan.  The per-spin acceptance
 rules differ, but the machinery that makes the scan fast in pure numpy is
 identical, so it lives here once:
 
-- per-sweep noise is folded into per-spin *threshold tables* outside the
-  scan (``thresholds_for``), so the hot loop is comparisons only;
+- noise is folded into per-spin *threshold tables* outside the scan, a
+  chunk of sweeps at a time (``thresholds_for`` draws and transforms up
+  to :data:`_CHUNK_DOUBLES` doubles of tables in one call), so the hot
+  loop is comparisons only;
 - a 32-spin block's decisions are *speculated* in one vectorized call
   (``decide``) assuming no intra-block flips; python-level iteration
   happens only at actual flip events — decisions before the first flip are
@@ -14,15 +16,21 @@ identical, so it lives here once:
   correction.  Frozen low-temperature blocks cost a few array ops total;
 - a block's accumulated flips hit the global input fields as one BLAS
   matmul instead of one rank-1 update per flip, and energies are
-  recomputed from the maintained inputs once per sweep.
+  recomputed from the maintained inputs: once per sweep at ``R > 1``,
+  once per chunk at ``R = 1`` from per-sweep ``(spins, inputs)``
+  snapshot rows (:func:`_row_energies`).
 
 At ``R = 1`` the p-bit rule (:func:`threshold_decide`) at float64 runs the
 in-block event loop in C (:mod:`repro.ising._r1scan`): one ctypes call
 scans blocks until one flips, and Python applies that block's BLAS update
-before resuming.  Everything that fixes the arithmetic — the threshold
-tables, the ``cols @ deltas`` update, the float64 einsum energies — stays
-in numpy, and the C loop performs the numpy scan's IEEE operations in its
-order, so the two are bit-identical.  The numpy scan
+before resuming; a chunk's threshold rows are checked once and run back to
+back.  Everything that fixes the arithmetic — the threshold tables, the
+``cols @ deltas`` update, the float64 einsum energies — stays in numpy,
+and the C loop performs the numpy scan's IEEE operations in its order, so
+the two are bit-identical.  Chunking changes no value either: one
+``(S, n, R)`` draw fills exactly the numbers of ``S`` per-sweep draws, in
+order, and the row-wise energy einsums equal the per-sweep ones (both
+pinned in ``tests/ising/test_program.py``).  The numpy scan
 (:func:`_numpy_sweep_r1`) runs for every other rule and dtype, and as the
 fallback when the library cannot be built or loaded
 (:func:`r1_scan_info` gives the reason); the tests use it as the
@@ -30,7 +38,7 @@ reference.
 
 The scan runs in a configurable storage/compute ``dtype``: ``float32``
 halves the memory traffic of the block matmuls (sgemm vs dgemm), which is
-where the big-R batched path spends its time.  Per-sweep *energies* are
+where the big-R batched path spends its time.  Sweep *energies* are
 always accumulated in float64 from the maintained inputs, so integer-weight
 Hamiltonians — exactly representable in float32 — report exact energies at
 either precision, and float-weight models stay within float32 tolerance of
@@ -59,6 +67,18 @@ import numpy as np
 # matmul, small enough that in-block corrections stay cache-resident.
 BLOCK = 32
 
+#: Noise-chunk memory budget (doubles): the threshold tables of several
+#: sweeps are drawn and transformed in one call, which amortises the
+#: per-sweep generator and ufunc dispatch that dominates at small N.  A
+#: chunked draw consumes the stream in exactly the per-sweep order (C-order
+#: fill), so chunk boundaries change no value.
+_CHUNK_DOUBLES = 1 << 20
+
+# einsum reduces the rows of a many-row contraction in pieces of its
+# 8192-element buffer but a lone float64 vector in one pass, so past this
+# length the row-wise energy form is not bit-equal to the per-state one.
+_EINSUM_ROW = 8192
+
 # repro.ising._r1scan is imported where it is used, not here: its own
 # imports (ctypes, subprocess, hashlib, ...) would add ~13 ms to `import
 # repro` and to every service worker spawn.
@@ -74,6 +94,30 @@ def r1_scan_info() -> str:
     from repro.ising import _r1scan
 
     return _r1scan.r1_scan_info()
+
+
+def chunk_span(num_sweeps: int, doubles_per_sweep: int) -> int:
+    """Sweeps per noise chunk: as many as fit :data:`_CHUNK_DOUBLES`, at
+    least one, at most ``num_sweeps``."""
+    return max(1, min(num_sweeps, _CHUNK_DOUBLES // doubles_per_sweep))
+
+
+def pbit_thresholds(noise, betas):
+    """Fold a chunk of sweeps' ``U(-1, 1)`` noise into p-bit thresholds.
+
+    ``noise[k]`` holds sweep ``k``'s draws (any trailing shape) and
+    ``betas[k]`` its inverse temperature.  For ``beta > 0``,
+    ``sign(tanh(beta I) + u) == +1`` iff ``I >= -atanh(u) / beta``; any
+    other sweep gets the sign split (``u >= 0``: always up, else always
+    down).  ``u = -1`` maps to ``+inf``, so rows padded with ``-1`` never
+    flip.  Returns float64 tables shaped like ``noise``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.arctanh(noise)
+        table /= -betas.reshape((-1,) + (1,) * (noise.ndim - 1))
+    for k in np.nonzero(~(betas > 0.0))[0]:
+        table[k] = np.where(noise[k] >= 0.0, -np.inf, np.inf)
+    return table
 
 
 def threshold_decide(taus_rows, input_rows, spin_rows):
@@ -202,9 +246,12 @@ def lockstep_anneal(
     states:
         ``(R, n)`` initial ±1 spins (consumed; not modified in place).
     thresholds_for:
-        ``thresholds_for(beta) -> (n, R)`` per-sweep threshold table; this
-        is where the sampler draws its noise, so it is called exactly once
-        per sweep, before the scan.  Tables are cast to ``dtype`` here.
+        ``thresholds_for(betas) -> (span, n, R)`` threshold tables for a
+        chunk of consecutive sweeps at ``betas``; this is where the sampler
+        draws its noise, so it is called once per chunk (at most
+        :data:`_CHUNK_DOUBLES` doubles), before that chunk's scan, and the
+        chunks cover the schedule in order.  Tables are cast to ``dtype``
+        here.
     decide:
         ``decide(thresholds_rows, input_rows, spin_rows) -> delta_rows``:
         the sampler's acceptance rule, vectorized over a ``(m, R)`` tail of
@@ -261,8 +308,13 @@ def lockstep_anneal(
     col_blocks = program.col_blocks
     sub_blocks = program.sub_blocks
 
-    for sweep, beta in enumerate(betas):
-        thresholds = np.asarray(thresholds_for(beta), dtype=dtype)
+    span = chunk_span(betas.size, n * num_replicas)
+    for sweep in range(betas.size):
+        if sweep % span == 0:
+            table = np.asarray(
+                thresholds_for(betas[sweep:sweep + span]), dtype=dtype
+            )
+        thresholds = table[sweep % span]
 
         for i0, cols, sub in zip(starts, col_blocks, sub_blocks):
             size = cols.shape[1]
@@ -316,12 +368,19 @@ def _lockstep_anneal_r1(
 
     Identical chain to the general kernel (same threshold tables consumed
     in the same order, same speculative-block decisions), on 1-D arrays.
-    With the p-bit rule (:func:`threshold_decide`) at float64, each sweep
-    runs the compiled in-block event loop of :mod:`repro.ising._r1scan`
-    when that library builds and loads; otherwise, and for any other rule
-    or dtype, it runs :func:`_numpy_sweep_r1`.  Both apply the same
-    operations to the same values, so they return bit-identical results.
-    Returns the same ``(n, 1)``-shaped tuple as the general kernel.
+    With the p-bit rule (:func:`threshold_decide`) at float64, each chunk
+    of sweeps runs the compiled in-block event loop of
+    :mod:`repro.ising._r1scan` when that library builds and loads;
+    otherwise, and for any other rule or dtype, each sweep runs
+    :func:`_numpy_sweep_r1`.  Both apply the same operations to the same
+    values, so they return bit-identical results.
+
+    Python touches a sweep only to copy its final ``(spins, inputs)`` into
+    the chunk's snapshot rows; the chunk's energies are then one
+    :func:`_row_energies` call, and the best state is the first minimum
+    (``argmin``) if it is strictly below the running best — what a
+    per-sweep ``<`` test keeps.  Returns the same ``(n, 1)``-shaped tuple
+    as the general kernel.
     """
     dtype = program.dtype
     fields = np.asarray(fields, dtype=dtype)
@@ -337,52 +396,80 @@ def _lockstep_anneal_r1(
             compiled = _r1scan.CompiledSweep(scan, program, inputs, spins,
                                              BLOCK)
 
-    def energy():
-        return float(
-            -0.5 * np.einsum("i,i->", spins, inputs, dtype=np.float64)
-            - 0.5 * np.einsum("i,i->", fields, spins, dtype=np.float64)
-            + offset
-        )
-
-    current = energy()
-    best_energy = current
+    n = spins.size
+    energies = _row_energies(spins[None], inputs[None], fields, offset)
+    best_energy = energies[0]
     best_spins = spins.copy()
     traces = np.empty((1, betas.size)) if record_energy else None
 
-    for sweep, beta in enumerate(betas):
-        thresholds = np.asarray(thresholds_for(beta), dtype=dtype).ravel()
+    span = chunk_span(betas.size, n)
+    snap_spins = np.empty((span, n), dtype=dtype)
+    snap_inputs = np.empty((span, n), dtype=dtype)
+    for c0 in range(0, betas.size, span):
+        chunk = betas[c0:c0 + span]
+        table = np.asarray(thresholds_for(chunk), dtype=dtype).reshape(-1, n)
         if compiled is not None:
-            compiled.sweep(thresholds)
+            steps = compiled.sweeps(table)
         else:
-            program.flip_events += _numpy_sweep_r1(
-                program, inputs, thresholds, spins, decide
+            steps = (
+                _numpy_sweep_r1(program, inputs, thresholds, spins, decide)
+                for thresholds in table
             )
+        for k, _ in enumerate(steps):
+            snap_spins[k] = spins
+            snap_inputs[k] = inputs
 
-        current = energy()
-        if current < best_energy:
-            best_energy = current
-            best_spins = spins.copy()
+        energies = _row_energies(
+            snap_spins[:chunk.size], snap_inputs[:chunk.size], fields, offset
+        )
+        k = int(np.argmin(energies))
+        if energies[k] < best_energy:
+            best_energy = energies[k]
+            best_spins = snap_spins[k].copy()
         if record_energy:
-            traces[0, sweep] = current
+            traces[0, c0:c0 + chunk.size] = energies
 
     if compiled is not None:
         program.flip_events += compiled.flips
     program.retain(spins[:, None], inputs[:, None], fields)
     return (
         spins[:, None],
-        np.array([current]),
+        energies[-1:],
         best_spins[:, None],
         np.array([best_energy]),
         traces,
     )
 
 
-def _numpy_sweep_r1(program, inputs, thresholds, spins, decide) -> int:
+def _row_energies(spins, inputs, fields, offset) -> np.ndarray:
+    """float64 energies ``H = -1/2 s.I - 1/2 h.s + c`` of ``(S, n)`` state
+    rows and their maintained inputs, whatever the scan dtype.
+
+    Each value is bit-equal to the per-state ``"i,i->"`` einsum form: rows
+    up to :data:`_EINSUM_ROW` long reduce in one row-wise einsum per term,
+    longer ones one row at a time (see :data:`_EINSUM_ROW`).
+    """
+    if spins.shape[1] <= _EINSUM_ROW:
+        coupling = np.einsum("si,si->s", spins, inputs, dtype=np.float64)
+        linear = np.einsum("i,si->s", fields, spins, dtype=np.float64)
+    else:
+        coupling = np.array([
+            np.einsum("i,i->", s, i, dtype=np.float64)
+            for s, i in zip(spins, inputs)
+        ])
+        linear = np.array([
+            np.einsum("i,i->", fields, s, dtype=np.float64) for s in spins
+        ])
+    return -0.5 * coupling - 0.5 * linear + offset
+
+
+def _numpy_sweep_r1(program, inputs, thresholds, spins, decide) -> None:
     """One ``R = 1`` sweep in numpy; updates ``inputs``/``spins`` in place.
 
     ``decide`` is called on ``(m,)`` tails and the first flip is located
-    with a single ``nonzero``.  Returns the number of spin flips.  This is
-    the fallback of the compiled scan and its reference in the tests.
+    with a single ``nonzero``; the spin flips are added to
+    ``program.flip_events``.  This is the fallback of the compiled scan and
+    its reference in the tests.
     """
     dtype = program.dtype
     flips = 0
@@ -412,4 +499,4 @@ def _numpy_sweep_r1(program, inputs, thresholds, spins, decide) -> int:
             j = jf + 1
         if deltas is not None:
             inputs += cols @ deltas
-    return flips
+    program.flip_events += flips

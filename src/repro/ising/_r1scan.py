@@ -3,9 +3,11 @@
 The numpy ``R = 1`` scan in :mod:`repro.ising._lockstep` pays a Python
 round trip (``decide`` + ``nonzero``) at every p-bit flip.  This module
 moves exactly that loop into a few lines of C and nothing else: numpy
-keeps the noise and threshold draw, the block-end ``inputs += cols @
-deltas`` BLAS update and the float64 energies, so the arithmetic that
-fixes a trajectory is computed by the same calls on the same values.
+keeps the noise and threshold draw (a chunk of sweeps per call), the
+block-end ``inputs += cols @ deltas`` BLAS update and the float64
+energies (a chunk of sweeps per call, from per-sweep snapshots), so the
+arithmetic that fixes a trajectory is computed by the same calls on the
+same values.
 
 Inside a block the C loop does what the numpy scan does, in the same
 order and with the same IEEE operations: it copies the block's inputs,
@@ -20,9 +22,10 @@ that flipped, with that block's deltas in a buffer; Python applies the
 block's BLAS update and resumes at the next block.  Flip-free blocks cost
 no Python at all.
 
-The same scan runs each instance of an ``R = 1`` float64 fused fleet
-anneal (:mod:`repro.ising.fleet`), which hands it a whole chunk of
-threshold rows at once (:meth:`CompiledSweep.sweeps`).
+Both callers hand it a whole chunk of threshold rows at once
+(:meth:`CompiledSweep.sweeps`): the standalone ``R = 1`` anneal and each
+instance of an ``R = 1`` float64 fused fleet anneal
+(:mod:`repro.ising.fleet`).
 
 The library is built lazily, on the first ``R = 1`` float64 p-bit anneal,
 standalone or fused (never at import), with the host's ``cc``.  The
@@ -200,9 +203,9 @@ class CompiledSweep:
 
     Holds the anneal's fixed buffers — the program's coupling, the
     maintained ``inputs`` and the ``spins`` (both updated in place) — and
-    checks them once, so a sweep only checks its threshold table, and
-    :meth:`sweeps` checks a whole chunk of tables at once.  The buffers
-    stay referenced here while C holds their addresses.
+    checks them once, so :meth:`sweeps` only checks a chunk of threshold
+    tables, once per chunk.  The buffers stay referenced here while C
+    holds their addresses.
     """
 
     def __init__(self, scan, program, inputs: np.ndarray, spins: np.ndarray,
@@ -225,10 +228,6 @@ class CompiledSweep:
     def flips(self) -> int:
         """Spin flips applied so far by this anneal's sweeps."""
         return int(self._flips[0])
-
-    def sweep(self, thresholds: np.ndarray) -> None:
-        """One sweep at the given ``(n,)`` float64 threshold table."""
-        self._run(_checked(thresholds, self._program.num_spins, np.float64))
 
     def sweeps(self, table: np.ndarray):
         """An iterator whose ``next`` runs the sweep at the next row of a

@@ -28,9 +28,11 @@ For every instance ``b``, the fused scan performs *exactly* the arithmetic
 of :func:`repro.ising._lockstep.lockstep_anneal` run on instance ``b``
 alone with generator ``spawn_rngs(seed, B)[b]``:
 
-- noise is drawn per instance (``(n_b, R)`` per sweep, ``(R, n_b)``
-  initial states) from that instance's own spawned stream, in the same
-  order as a standalone :class:`~repro.ising.pbit.PBitMachine`;
+- noise is drawn per instance (``(span, n_b, R)`` per chunk of sweeps,
+  ``(R, n_b)`` initial states) from that instance's own spawned stream, in
+  the same order as a standalone :class:`~repro.ising.pbit.PBitMachine`
+  (which draws the same chunks), and folded into thresholds by the same
+  :func:`repro.ising._lockstep.pbit_thresholds`;
 - at ``R = 1`` and float64, each instance's sweeps run through the
   standalone compiled scan (:class:`repro.ising._r1scan.CompiledSweep`) on
   the instance's own rows, program and threshold rows — literally the
@@ -46,7 +48,8 @@ alone with generator ``spawn_rngs(seed, B)[b]``:
   contraction dimension is not bit-safe, so cross-instance stacking is
   reserved for the elementwise event machinery where it is);
 - per-instance energies are float64 einsums over the instance's contiguous
-  row slice — the standalone accounting, shapes included;
+  row slice, once per sweep — the standalone ``R > 1`` accounting, shapes
+  included, whose values the standalone ``R = 1`` chunk energies equal;
 - each instance's ``AnnealProgram.flip_events`` grows by the standalone
   count: spin flips at ``R = 1``, scan steps with a flipping replica at
   ``R > 1``.
@@ -61,7 +64,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ising._lockstep import BLOCK, AnnealProgram
+from repro.ising._lockstep import (
+    BLOCK,
+    AnnealProgram,
+    chunk_span,
+    pbit_thresholds,
+)
 from repro.ising.backend import BatchAnnealResult, resolve_dtype
 from repro.ising.model import IsingModel
 from repro.utils.rng import spawn_rngs
@@ -330,14 +338,6 @@ class FleetMachine:
         )
 
 
-#: Noise-chunk memory budget (doubles): threshold tables for several sweeps
-#: are drawn and transformed in one batched pass per instance stream, which
-#: amortises the per-sweep generator and ufunc dispatch that dominates at
-#: small N.  Chunked draws consume each stream in exactly the per-sweep
-#: order (C-order fill), so bit-identity is preserved.
-_CHUNK_DOUBLES = 1 << 20
-
-
 def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
                   track_best):
     """The fused lock-step scan over the active instances."""
@@ -402,11 +402,11 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
     )
 
     num_sweeps = betas.size
-    chunk_sweeps = max(
-        1, min(num_sweeps, _CHUNK_DOUBLES // (num_active * npad * num_replicas))
-    )
+    chunk_sweeps = chunk_span(num_sweeps, num_active * npad * num_replicas)
+    # Sweep-major like the standalone (span, n, R) tables; padding rows
+    # hold noise -1, which the threshold transform maps to +inf.
     noise4 = np.full(
-        (num_active, chunk_sweeps, npad, num_replicas), -1.0
+        (chunk_sweeps, num_active, npad, num_replicas), -1.0
     )
     deltas3 = np.empty((num_active, BLOCK, num_replicas), dtype=dtype)
     flipped = np.empty(num_active, dtype=bool)
@@ -501,25 +501,18 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
         # exactly the standalone per-sweep order.
         for row, stream in enumerate(streams):
             n = int(sizes[row])
-            noise4[row, :span, :n] = stream.uniform(
+            noise4[:span, row, :n] = stream.uniform(
                 -1.0, 1.0, size=(span, n, num_replicas)
             )
-        # Fold the whole chunk's noise into threshold tables in two
-        # batched elementwise passes: arctanh(-1) = -inf maps padding to
-        # +inf after the division by -beta.  beta = 0 sweeps get the
-        # standalone sign-split table instead.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thr4 = np.arctanh(noise4[:, :span])
-            np.divide(
-                thr4, -chunk_betas[None, :, None, None], out=thr4
-            )
-        for s in np.nonzero(chunk_betas == 0.0)[0]:
-            thr4[:, s] = np.where(noise4[:, s] >= 0.0, -np.inf, np.inf)
-        thr4 = thr4.astype(dtype, copy=False)
+        # The whole chunk's tables in one batched transform, the
+        # standalone machine's.
+        thr4 = pbit_thresholds(noise4[:span], chunk_betas).astype(
+            dtype, copy=False
+        )
 
         if sweepers is not None:
             runs = [
-                sweeper.sweeps(thr4[row, :span, :int(sizes[row]), 0])
+                sweeper.sweeps(thr4[:, row, :int(sizes[row]), 0])
                 for row, sweeper in enumerate(sweepers)
             ]
         for sweep in range(c0, c1):
@@ -527,7 +520,7 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
                 for run in runs:
                     next(run)
             else:
-                numpy_sweep(thr4[:, sweep - c0])
+                numpy_sweep(thr4[sweep - c0])
 
             if track_best:
                 energies2 = instance_energies(energies2)

@@ -18,11 +18,13 @@ what the surrounding algorithm reads out.
 The machine implements the :class:`repro.ising.backend.AnnealingBackend`
 protocol; :meth:`PBitMachine.anneal_many` is the canonical entry point.
 Every replica count — **including R = 1** — runs the lock-step
-speculative-block kernel of :mod:`repro.ising._lockstep`: the per-sweep
-noise is folded into per-update acceptance *thresholds* (one comparison per
-p-bit instead of a tanh per p-bit), within a block only the block-local
-couplings are corrected incrementally, and each block's accumulated flips
-hit the global input fields as a single BLAS matmul.  At R = 1 the
+speculative-block kernel of :mod:`repro.ising._lockstep`: the noise of a
+chunk of sweeps is drawn in one call and folded into per-update acceptance
+*thresholds* (one comparison per p-bit instead of a tanh per p-bit; the
+chunked draw holds exactly the per-sweep numbers, in order), within a
+block only the block-local couplings are corrected incrementally, and
+each block's accumulated flips hit the global input fields as a single
+BLAS matmul.  At R = 1 the
 threshold test ``I_i >= -atanh(u_i) / beta`` consumes the *same noise
 stream in the same order* as the historical per-spin python scan and is
 the exact algebraic rearrangement of eq. 10, so the trajectory is the
@@ -30,10 +32,10 @@ same Gibbs chain — just computed by blocks instead of a python loop per
 spin.  At R = 1 and float64 the in-block event loop runs compiled
 (:mod:`repro.ising._r1scan`, C built on first use with the host's ``cc``
 and called through ctypes); numpy still draws the noise, applies the
-block-end BLAS updates and computes the energies, so results are
-bit-identical to the numpy scan, which runs instead when the library
-cannot be built or loaded (``repro.ising._lockstep.r1_scan_info()``
-says which).  ``kernel="serial"`` is the escape hatch back to the
+block-end BLAS updates and computes the energies (once per chunk, from
+per-sweep snapshots), so results are bit-identical to the numpy scan,
+which runs instead when the library cannot be built or loaded
+(``repro.ising._lockstep.r1_scan_info()`` says which).  ``kernel="serial"`` is the escape hatch back to the
 retired pure-python reference scan (useful for parity tests and as the
 ground-truth spelling of eq. 10).
 
@@ -58,6 +60,7 @@ import numpy as np
 from repro.ising._lockstep import (
     AnnealProgram,
     lockstep_anneal,
+    pbit_thresholds,
     threshold_decide,
 )
 from repro.ising.backend import (
@@ -322,13 +325,9 @@ class PBitMachine:
         rng = self._rng
         num_replicas, n = states.shape
 
-        def thresholds_for(beta):
-            noise = rng.uniform(-1.0, 1.0, size=(n, num_replicas))
-            if beta > 0.0:
-                # sign(tanh(beta I) + u) == +1  <=>  I >= -atanh(u) / beta
-                with np.errstate(divide="ignore"):
-                    return np.arctanh(noise) / (-beta)
-            return np.where(noise >= 0.0, -np.inf, np.inf)
+        def thresholds_for(chunk):
+            noise = rng.uniform(-1.0, 1.0, size=(chunk.size, n, num_replicas))
+            return pbit_thresholds(noise, chunk)
 
         spins, energies, best_spins, best_energies, traces = lockstep_anneal(
             self._coupling, self._fields, self._offset, betas, states,

@@ -173,13 +173,15 @@ class MetropolisMachine:
         rng = self._rng
         num_replicas, n = states.shape
 
-        def thresholds_for(beta):
-            uniforms = rng.uniform(1e-300, 1.0, size=(n, num_replicas))
+        def thresholds_for(chunk):
+            uniforms = rng.uniform(
+                1e-300, 1.0, size=(chunk.size, n, num_replicas)
+            )
             # Accept a flip of spin i iff delta = 2 m_i I_i satisfies
             # delta <= 0 or exp(-beta delta) > u; both collapse to the
             # threshold test m_i I_i < -log(u) / (2 beta) since log(u) < 0.
             with np.errstate(divide="ignore"):
-                return np.log(uniforms) / (-2.0 * beta)
+                return np.log(uniforms) / (-2.0 * chunk)[:, None, None]
 
         def decide(thr_rows, input_rows, spin_rows):
             flip = spin_rows * input_rows < thr_rows

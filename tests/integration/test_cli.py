@@ -1,5 +1,13 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -332,3 +340,80 @@ class TestPlannerCommands:
               "--clauses", "40", "--seed", "2"])
         with pytest.raises(SystemExit, match="quadratic-only"):
             main(["export-qubo", str(sat_path), str(tmp_path / "out.qubo")])
+
+
+
+def _running(pids) -> list[int]:
+    """The pids of ``pids`` still running (not exited, not zombies)."""
+    alive = []
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue
+        # The state is the first field after the parenthesised command.
+        if stat.rsplit(")", 1)[1].split()[0] != "Z":
+            alive.append(pid)
+    return alive
+
+
+def _children(pid: int) -> list[int]:
+    """Running processes whose parent is ``pid``, read from /proc."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            children.append(int(entry.name))
+    return children
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process children from /proc")
+class TestServe:
+    def test_sigterm_reaps_process_workers(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", "--workers",
+             "2", "--worker-mode", "process", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        workers = []
+        try:
+            # The banner prints once the workers run and SIGTERM is handled.
+            banner = []
+            reader = threading.Thread(
+                target=lambda: banner.append(server.stdout.readline()),
+                daemon=True,
+            )
+            reader.start()
+            reader.join(timeout=60)
+            assert banner and "repro solver service" in banner[0], (
+                banner, server.poll()
+            )
+            workers = _children(server.pid)
+            assert len(workers) >= 2
+            server.send_signal(signal.SIGTERM)
+            server.wait(timeout=60)
+            deadline = time.monotonic() + 5.0
+            while _running(workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            orphans = _running(workers)
+        finally:
+            # A failed run must not leak the server or its workers (they
+            # also hold the output pipes open).
+            for pid in [server.pid, *_running(workers)]:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            out, err = server.communicate(timeout=10)
+        assert server.returncode == 0, err
+        assert "service stopped" in out
+        assert orphans == []

@@ -183,6 +183,17 @@ class TestFleetBitIdentity:
             solo.anneal_many(fleet_schedule(), num_replicas)
             assert program.flip_events == solo.program.flip_events > 0
 
+    def test_non_positive_betas_match_standalone(self):
+        """Every beta <= 0 sweep takes the standalone sign split, so
+        padding rows stay frozen at negative beta too."""
+        models = fleet_models()
+        schedule = np.array([-0.5, 0.0, -2.0, 1.0])
+        fused = FleetMachine(models, rng=9).anneal_fleet(schedule, 1)
+        streams = spawn_rngs(9, len(models))
+        for index, (model, stream) in enumerate(zip(models, streams)):
+            solo = PBitMachine(model, rng=stream).anneal_many(schedule, 1)
+            assert_batches_equal(fused.instance(index), solo)
+
     def test_active_subset_is_invariant(self):
         """An instance's chain is the same whatever else is active."""
         models = fleet_models()
